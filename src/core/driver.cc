@@ -5,6 +5,42 @@
 
 namespace txrace::core {
 
+namespace {
+
+/**
+ * ProfLoopcut's offline profiling run on a "representative input"
+ * (perturbed seed): learn thresholds the Dyn way and keep only the
+ * table. Its cost is not part of the measured run, as in the paper.
+ * Skipped when the table provably ends empty (see runProgram); @p info
+ * records whether it ran and how it ended.
+ */
+LoopCutTable
+profileLoopCuts(const ir::Program &prepared,
+                const sim::MachineConfig &mcfg, const RunConfig &cfg,
+                ProfileRunInfo &info)
+{
+    if (!TxRacePolicy::canLearnLoopCuts(prepared))
+        return LoopCutTable(cfg.dynLoopcutInitial);
+    TxRacePolicy profiler(TxRacePolicy::Scheme::Dyn, nullptr,
+                          cfg.dynLoopcutInitial, 4, false, {}, 1, {},
+                          cfg.slowpath);
+    // Only the table is kept: the recorders would fill logs nobody
+    // reads, and since they only observe, the table is the same.
+    sim::MachineConfig prof_cfg = mcfg;
+    prof_cfg.seed ^= cfg.profileSeedDelta;
+    prof_cfg.recordEvents = false;
+    prof_cfg.recordTrace = false;
+    prof_cfg.recordFlight = false;
+    sim::Machine machine(prepared, prof_cfg, profiler);
+    sim::RunError err = machine.run();
+    info.ran = true;
+    info.steps = err.stepsExecuted;
+    info.error = err.kind;
+    return profiler.loopcuts();
+}
+
+} // namespace
+
 RunResult
 runProgram(const ir::Program &prog, const RunConfig &cfg)
 {
@@ -105,20 +141,9 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Window;
 
         LoopCutTable profiled(cfg.dynLoopcutInitial);
-        if (scheme == TxRacePolicy::Scheme::Prof) {
-            // Offline profiling run on a "representative input"
-            // (perturbed seed): learn thresholds the Dyn way, keep
-            // only the table. Profiling cost is not part of the
-            // measured run, as in the paper.
-            TxRacePolicy profiler(TxRacePolicy::Scheme::Dyn, nullptr,
-                                  cfg.dynLoopcutInitial, 4, false, {},
-                                  1, {}, cfg.slowpath);
-            sim::MachineConfig prof_cfg = mcfg;
-            prof_cfg.seed ^= cfg.profileSeedDelta;
-            sim::Machine machine(prepared, prof_cfg, profiler);
-            machine.run();
-            profiled = profiler.loopcuts();
-        }
+        if (scheme == TxRacePolicy::Scheme::Prof)
+            profiled =
+                profileLoopCuts(prepared, mcfg, cfg, result.profileRun);
 
         TxRacePolicy policy(scheme,
                             scheme == TxRacePolicy::Scheme::Prof

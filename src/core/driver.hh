@@ -39,7 +39,9 @@ struct RunConfig
      *  cache line (TxRace modes only). */
     bool conflictAddressHints = false;
     /** Seed perturbation for the ProfLoopcut profiling pre-run
-     *  ("representative input" differs from the measured input). */
+     *  ("representative input" differs from the measured input).
+     *  Unused when the pre-run is skipped (see runProgram): such a
+     *  program learns the same empty table on every seed. */
     uint64_t profileSeedDelta = 0x50f11eULL;
     /** Adaptive fallback governor (TxRace modes only). Disabled by
      *  default: the paper's runtime answers every non-retry abort
@@ -56,6 +58,20 @@ struct RunConfig
      *  TxFail-broadcast whole-region re-execution, kept as the
      *  differential oracle (txrace_run --slowpath=region). */
     SlowPathKind slowpath = SlowPathKind::Window;
+};
+
+/** What the ProfLoopcut profiling pre-run did. Kept out of
+ *  RunResult::stats so the measured run's dumps never depend on it. */
+struct ProfileRunInfo
+{
+    /** False when no pre-run took place: not ProfLoopcut, or the
+     *  prepared program can provably learn no threshold. */
+    bool ran = false;
+    /** Scheduler steps the pre-run executed. */
+    uint64_t steps = 0;
+    /** How the pre-run ended; anything but None means the measured
+     *  run started from a table learned on a partial run. */
+    sim::RunError::Kind error = sim::RunError::Kind::None;
 };
 
 /** Results of one run. */
@@ -78,8 +94,11 @@ struct RunResult
      *  the Chrome-trace span buffer. */
     telemetry::Telemetry telemetry;
     /** Abnormal-end report: deadlock or maxSteps truncation, with
-     *  per-thread blocked-on state. error.ok() on a clean run. */
+     *  per-thread blocked-on state. error.ok() on a clean run. Covers
+     *  the measured run only; see profileRun for the pre-run. */
     sim::RunError error;
+    /** The ProfLoopcut profiling pre-run, if any. */
+    ProfileRunInfo profileRun;
     /** Monitor-mode budget summary (budget.enabled mirrors whether
      *  the run had a budget at all). */
     BudgetReport budget;
@@ -99,7 +118,16 @@ struct RunResult
  * Run @p prog (an uninstrumented, finalized program) under @p cfg.
  * The driver applies the appropriate instrumentation pipeline
  * internally; for ProfLoopcut it performs the profiling pre-run
- * (whose cost is offline and not included in the result).
+ * (whose cost is offline and not included in the result) with the
+ * event log, trace and flight recorder off, since its only output is
+ * the learned loop-cut table.
+ *
+ * The pre-run is skipped when TxRacePolicy::canLearnLoopCuts() says
+ * the prepared program has no LoopCut or no TxBegin that may start a
+ * hardware transaction. Such a run provably learns an empty table,
+ * and the measured run then starts from that same empty table, so
+ * the skip is exact: results are byte-identical to running it, and
+ * equal to a DynLoopcut run at the same seed.
  */
 RunResult runProgram(const ir::Program &prog, const RunConfig &cfg);
 

@@ -208,6 +208,18 @@ class TxRacePolicy : public sim::ExecutionPolicy
     /** Final thresholds (exported by profiling runs). */
     const LoopCutTable &loopcuts() const { return loopcuts_; }
 
+    /**
+     * Whether a Dyn run over the prepared program @p prog can learn
+     * any loop-cut threshold. A threshold is only created by
+     * handleSelfCapacity, on a capacity abort of a hardware
+     * transaction inside a loop that carries a LoopCut op; every
+     * hardware transaction starts at a TxBegin that is not forced
+     * slow (arg1 != 1) or continues one. So a program without a
+     * LoopCut, or without such a TxBegin, provably learns an empty
+     * table, on every seed and under every slow-path scheme.
+     */
+    static bool canLearnLoopCuts(const ir::Program &prog);
+
     /** The adaptive fallback governor (read-only inspection). */
     const FallbackGovernor &governor() const { return governor_; }
 

@@ -76,6 +76,19 @@ TxRacePolicy::TxRacePolicy(Scheme scheme, const LoopCutTable *preloaded,
     }
 }
 
+bool
+TxRacePolicy::canLearnLoopCuts(const ir::Program &prog)
+{
+    bool loop_cut = false;
+    bool hw_region = false;
+    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
+        for (const auto &ins : prog.function(f).body) {
+            loop_cut |= ins.op == ir::OpCode::LoopCut;
+            hw_region |= ins.op == ir::OpCode::TxBegin && ins.arg1 != 1;
+        }
+    return loop_cut && hw_region;
+}
+
 void
 TxRacePolicy::onRunStart(Machine &m)
 {

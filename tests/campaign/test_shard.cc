@@ -276,7 +276,9 @@ TEST(Strategy, SaveRestoreContinuesWhereTheOriginalStopped)
 
 TEST(Pool, StopAndJoinAbandonsQueuedJobsButFinishesRunning)
 {
-    ResultQueue queue(64);
+    // Room for every outcome: nothing pops until after the join, so a
+    // smaller queue would block a running job's push forever.
+    ResultQueue queue(128);
     WorkStealingPool pool(
         2,
         [](const JobSpec &spec, uint32_t) {

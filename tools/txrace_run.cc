@@ -356,6 +356,12 @@ main(int argc, char **argv)
         if (seeds.size() > 1)
             std::cout << "=== seed " << s << " ===\n";
         result = core::runProgram(prog, cfg);
+        if (result.profileRun.error != sim::RunError::Kind::None)
+            warn("profiling pre-run ended abnormally: %s after %llu "
+                 "steps; loop-cut thresholds come from a partial run",
+                 sim::runErrorKindName(result.profileRun.error),
+                 static_cast<unsigned long long>(
+                     result.profileRun.steps));
         core::printRaceReport(prog, result, std::cout, identity,
                               core::configDigest(cfg));
         if (explain)
