@@ -1,24 +1,24 @@
 /**
  * @file
  * Simulator step-loop benchmarks: wall-clock steps/sec of the decoded
- * threaded-code quantum loop (StepLoop::Decoded) against the classic
- * per-step switch interpreter (StepLoop::Classic) on three probes:
+ * threaded-code quantum loop on three probes, plus a host-speed
+ * anchor:
  *
  *  - compute-bound: uncontended arithmetic and thread-local memory,
- *    the case quantum batching and threaded dispatch target. CI holds
- *    Decoded >= 2x Classic here (same-run ratio, host-immune).
+ *    the case quantum batching and threaded dispatch target.
  *  - sync-heavy: a tight lock/update/unlock loop. Every sync op is a
- *    forced preemption point, so batching buys little; the O(1)
- *    runnable set and decoded dispatch must still keep Decoded no
- *    slower than Classic.
+ *    forced preemption point, so this measures the scheduler pick and
+ *    the O(1) runnable set more than dispatch.
  *  - tx-heavy: the full TxRace pipeline (transactions, conflict
- *    detection, aborts). Dominated by the HTM engine and detector;
- *    the gate only requires no regression.
+ *    detection, aborts), dominated by the HTM engine and detector.
+ *  - host anchor: a fixed dependent splitmix64 chain that touches no
+ *    simulator code, so it moves only with host speed.
  *
  * Items/sec is scheduler steps/sec (actual steps executed, taken from
- * the run result), so the numbers compare across lanes and probes.
- * BENCH_simcore.json commits the reference run for the baseline
- * regression gate in scripts/bench_compare.py.
+ * the run result) for the probes and chain links/sec for the anchor.
+ * BENCH_simcore.json commits a reference run; scripts/bench_compare.py
+ * --baseline regresses every probe against it after normalizing both
+ * files by the anchor (--calibration BM_HostAnchor).
  */
 
 #include <benchmark/benchmark.h>
@@ -30,6 +30,7 @@
 #include "core/policies.hh"
 #include "ir/builder.hh"
 #include "sim/machine.hh"
+#include "support/rng.hh"
 
 using namespace txrace;
 
@@ -107,15 +108,13 @@ txProgram()
     return b.build();
 }
 
-/** Run @p prog bare (NativePolicy, zero injection rates — the hot
- *  lane) under the given step loop and count real steps/sec. */
+/** Run @p prog bare (NativePolicy, zero injection rates) and count
+ *  real steps/sec. */
 void
-runBare(benchmark::State &state, const ir::Program &prog,
-        sim::StepLoop lane)
+runBare(benchmark::State &state, const ir::Program &prog)
 {
     sim::MachineConfig cfg;
     cfg.interruptPerStep = 0.0;
-    cfg.stepLoop = lane;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -129,15 +128,13 @@ runBare(benchmark::State &state, const ir::Program &prog,
     state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 
-/** Run @p prog through the full TxRace pipeline under the given step
- *  loop and count real steps/sec. */
+/** Run @p prog through the full TxRace pipeline and count real
+ *  steps/sec. */
 void
-runTx(benchmark::State &state, const ir::Program &prog,
-      sim::StepLoop lane)
+runTx(benchmark::State &state, const ir::Program &prog)
 {
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceNoOpt;
-    cfg.machine.stepLoop = lane;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -152,44 +149,38 @@ runTx(benchmark::State &state, const ir::Program &prog,
 void
 BM_SimComputeDecoded(benchmark::State &state)
 {
-    runBare(state, computeProgram(), sim::StepLoop::Decoded);
+    runBare(state, computeProgram());
 }
 BENCHMARK(BM_SimComputeDecoded);
 
 void
-BM_SimComputeClassic(benchmark::State &state)
-{
-    runBare(state, computeProgram(), sim::StepLoop::Classic);
-}
-BENCHMARK(BM_SimComputeClassic);
-
-void
 BM_SimSyncDecoded(benchmark::State &state)
 {
-    runBare(state, syncProgram(), sim::StepLoop::Decoded);
+    runBare(state, syncProgram());
 }
 BENCHMARK(BM_SimSyncDecoded);
 
 void
-BM_SimSyncClassic(benchmark::State &state)
-{
-    runBare(state, syncProgram(), sim::StepLoop::Classic);
-}
-BENCHMARK(BM_SimSyncClassic);
-
-void
 BM_SimTxDecoded(benchmark::State &state)
 {
-    runTx(state, txProgram(), sim::StepLoop::Decoded);
+    runTx(state, txProgram());
 }
 BENCHMARK(BM_SimTxDecoded);
 
+/** Host-speed anchor: a dependent splitmix64 chain of fixed length. */
 void
-BM_SimTxClassic(benchmark::State &state)
+BM_HostAnchor(benchmark::State &state)
 {
-    runTx(state, txProgram(), sim::StepLoop::Classic);
+    constexpr int64_t kLinks = 4096;
+    uint64_t x = 1;
+    for (auto _ : state) {
+        for (int64_t i = 0; i < kLinks; ++i)
+            x = splitmix64(x);
+        benchmark::DoNotOptimize(x);
+    }
+    state.SetItemsProcessed(state.iterations() * kLinks);
 }
-BENCHMARK(BM_SimTxClassic);
+BENCHMARK(BM_HostAnchor);
 
 } // namespace
 

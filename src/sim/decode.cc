@@ -69,7 +69,6 @@ decodeProgram(const ir::Program &prog, const CostModel &cost)
             op.arg0 = ins.arg0;
             op.arg1 = ins.arg1;
             ir::AddrShape shape = ins.addr.shape();
-            bool constant_oob = false;
             bool is_mem = ins.op == ir::OpCode::Load ||
                           ins.op == ir::OpCode::Store;
             if (is_mem) {
@@ -86,15 +85,12 @@ decodeProgram(const ir::Program &prog, const CostModel &cost)
                     fatal("decodeProgram: loop-indexed address outside "
                           "loop (depth %u, nesting %u)",
                           ins.addr.loopDepth, depth);
-                constant_oob = shape == ir::AddrShape::Constant &&
-                               prog.addrSpaceSize() > 0 &&
-                               ins.addr.base >= prog.addrSpaceSize();
             }
             if (ins.op == ir::OpCode::LoopBegin) {
                 op.jump = static_cast<uint32_t>(ins.match) + 1;
                 ++depth;
             }
-            op.fn = resolveHandler(ins, shape, constant_oob);
+            op.fn = resolveHandler(ins, shape);
             ops.push_back(op);
         }
     }

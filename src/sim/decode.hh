@@ -7,12 +7,12 @@
  * resolved (threaded-code dispatch — no opcode switch on the hot
  * path), the cost-model charge is pre-folded, the address expression
  * is pre-classified by shape (so evaluation is branch-light), and the
- * LoopBegin zero-trip jump target is inlined. Decode also validates
- * statically what the old interpreter checked per execution: a
- * loop-indexed address must sit inside at least loopDepth+1 loops, and
- * a constant address must fall inside the program's address space (an
- * out-of-range constant decodes to a trap handler that raises the
- * structured BadAccess run error if it is ever executed).
+ * LoopBegin zero-trip jump target is inlined. Decode also proves
+ * statically that a loop-indexed address sits inside at least
+ * loopDepth+1 loops. A constant address needs no check at all: the
+ * finalized program's structural validation already rejects any
+ * access base outside the address space, so only the dynamic shapes
+ * carry a bounds check (raising the structured BadAccess run error).
  *
  * Decode is per-Machine, not per-Program, because the folded charges
  * depend on the machine's CostModel. The DecodedOp keeps a pointer to
@@ -75,13 +75,10 @@ struct DecodedProgram
 };
 
 /**
- * Resolve the handler for @p ins. Defined in machine.cc next to the
- * handler bodies. @p constant_oob marks a constant-shape memory access
- * whose address is statically outside the program's address space; it
- * resolves to the BadAccess trap handler.
+ * Resolve the handler for @p ins, whose address expression has shape
+ * @p shape. Defined in machine.cc next to the handler bodies.
  */
-ExecFn resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
-                      bool constant_oob);
+ExecFn resolveHandler(const ir::Instruction &ins, ir::AddrShape shape);
 
 /**
  * Decode every function of @p prog under cost model @p cost. The

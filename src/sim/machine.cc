@@ -80,8 +80,9 @@ struct ExecHandlers
      * Load/Store, specialized by pre-classified address shape: the
      * generic evaluation's branches are resolved at decode, so each
      * instantiation computes exactly the terms its expression uses.
-     * The bounds check is elided for constant shapes (checked at
-     * decode; statically out-of-range constants get memBad instead).
+     * The bounds check is elided for constant shapes: the program's
+     * structural validation already rejects a constant address outside
+     * the address space.
      */
     template <ir::AddrShape S, bool W>
     static void
@@ -137,15 +138,6 @@ struct ExecHandlers
             // transaction; the context has been rolled back.
             m.quantumBreak_ = true;
         }
-    }
-
-    /** Constant address statically outside the address space: raise
-     *  the structured BadAccess error if actually executed. */
-    static void
-    memBad(Machine &m, ThreadContext &ctx, const DecodedOp &op)
-    {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
-        m.badAccess(ctx.tid, op.base);
     }
 
     static void
@@ -330,8 +322,7 @@ struct ExecHandlers
 };
 
 ExecFn
-resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
-               bool constant_oob)
+resolveHandler(const ir::Instruction &ins, ir::AddrShape shape)
 {
     using H = ExecHandlers;
     switch (ins.op) {
@@ -343,8 +334,6 @@ resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
         return &H::syscall;
       case ir::OpCode::Load:
       case ir::OpCode::Store: {
-        if (constant_oob)
-            return &H::memBad;
         const bool w = ins.op == ir::OpCode::Store;
         switch (shape) {
           case ir::AddrShape::Constant:
@@ -607,36 +596,6 @@ Machine::pickRunnable()
     return runnable_[n == 1 ? 0 : schedRng_.below(n)];
 }
 
-Tid
-Machine::pickRunnableScan()
-{
-    uint32_t runnable = 0;
-    for (const auto &ctx : contexts_)
-        if (ctx.state == ThreadState::Runnable)
-            ++runnable;
-    if (runnable == 0)
-        return kNoTid;
-    uint64_t pick = schedRng_.below(runnable);
-    for (const auto &ctx : contexts_) {
-        if (ctx.state != ThreadState::Runnable)
-            continue;
-        if (pick == 0)
-            return ctx.tid;
-        --pick;
-    }
-    panic("Machine::pickRunnableScan: inconsistent runnable count");
-}
-
-uint32_t
-Machine::runnableThreadsScan() const
-{
-    uint32_t n = 0;
-    for (const auto &ctx : contexts_)
-        if (ctx.state == ThreadState::Runnable)
-            ++n;
-    return n;
-}
-
 void
 Machine::captureUnfinishedThreads()
 {
@@ -712,16 +671,7 @@ Machine::run()
     policy_.onRunStart(*this);
     det_.rootThread(0);
     policy_.onThreadStart(*this, 0);
-    if (cfg_.stepLoop == StepLoop::Classic) {
-        runClassic();
-    } else if (!faults_.empty() || cfg_.interruptPerStep > 0.0 ||
-               cfg_.retryAbortPerStep > 0.0) {
-        runDecoded<true>();
-    } else {
-        // Hot lane: no fault plan and zero injection rates, so the
-        // per-op fault and interrupt machinery compiles out.
-        runDecoded<false>();
-    }
+    runLoop();
     error_.stepsExecuted = steps_;
     // Abnormal end: drain every thread's flight window into a capture
     // so the structured error carries its own event context.
@@ -785,15 +735,18 @@ Machine::run()
  * (sync operations, transaction boundaries, memory accesses while any
  * transaction is in flight, thread lifecycle ops) so detection-
  * relevant interleavings keep per-op granularity. Within a quantum
- * the loop is: bounds check, fault/interrupt lane work (Injected lane
- * only), phase attribution, fetch, one indirect call.
+ * the loop is: step guard, fault-episode edges (only with a fault
+ * plan), phase attribution, interrupt/retry injection (only inside a
+ * transaction), fetch, one indirect call. At zero injection rates
+ * injectAbort() makes no RNG draw, so it never perturbs a zero-rate
+ * run's schedule, costs or streams.
  */
-template <bool Injected>
 void
-Machine::runDecoded()
+Machine::runLoop()
 {
     const uint32_t quantum =
         cfg_.schedQuantum > 0 ? cfg_.schedQuantum : 1;
+    const bool has_faults = !faults_.empty();
     while (live_ > 0) {
         Tid t = pickRunnable();
         if (t == kNoTid) {
@@ -811,21 +764,17 @@ Machine::runDecoded()
                 return;
             }
             ++steps_;
-            if constexpr (Injected) {
-                // A fault-episode edge is a forced preemption point:
-                // its modifiers apply to this op, then re-pick.
-                if (!faults_.empty() && advanceFaults())
-                    left = 1;
-            }
+            // A fault-episode edge is a forced preemption point: its
+            // modifiers apply to this op, then re-pick.
+            if (has_faults && advanceFaults())
+                left = 1;
             // Attribute this step to the acting thread's current
             // detection mode (the Figure-10 breakdown). The profiler
             // totals must equal steps executed, so this runs for
             // consumed steps (aborts, beforeStep) too.
             tel_.phases.note(t, phaseOfCtx(ctx));
-            if constexpr (Injected) {
-                if (htm_.inTx(t) && injectAbort(t))
-                    break;  // the abort consumed this step
-            }
+            if (htm_.inTx(t) && injectAbort(t))
+                break;  // the abort consumed this step
             if (first) {
                 // Policy pre-step hook, once per quantum (documented
                 // contract since quantum batching): a true return
@@ -844,24 +793,6 @@ Machine::runDecoded()
                 --left == 0 || stopRequest_ != RunError::Kind::None)
                 break;
         }
-        if (stopRequest_ != RunError::Kind::None) {
-            recordStop();
-            return;
-        }
-    }
-}
-
-void
-Machine::runClassic()
-{
-    while (live_ > 0) {
-        if (steps_ >= cfg_.maxSteps) {
-            truncateRun();
-            return;
-        }
-        ++steps_;
-        if (!step())
-            return;
         if (stopRequest_ != RunError::Kind::None) {
             recordStop();
             return;
@@ -947,56 +878,6 @@ Machine::injectAbort(Tid t)
     return false;
 }
 
-bool
-Machine::step()
-{
-    if (!faults_.empty())
-        advanceFaults();
-
-    Tid t = pickRunnableScan();
-    if (t == kNoTid) {
-        reportDeadlock();
-        return false;
-    }
-    schedHash_ = mixHash(schedHash_, steps_, t);
-
-    tel_.phases.note(t, phaseOf(t));
-
-    if (htm_.inTx(t) && injectAbort(t))
-        return true;
-
-    if (policy_.beforeStep(*this, t))
-        return true;
-
-    execInstr(t);
-    return true;
-}
-
-bool
-Machine::evalAddr(const ir::AddrExpr &expr, ThreadContext &ctx,
-                  ir::Addr &out)
-{
-    ir::Addr a = expr.base;
-    a += expr.threadStride * ctx.tid;
-    if (expr.loopStride != 0) {
-        if (expr.loopDepth >= ctx.loops.size())
-            fatal("Machine: loop-indexed address outside loop "
-                  "(depth %u, nesting %zu)", expr.loopDepth,
-                  ctx.loops.size());
-        const LoopFrame &frame =
-            ctx.loops[ctx.loops.size() - 1 - expr.loopDepth];
-        a += expr.loopStride * frame.index;
-    }
-    if (expr.randomCount != 0)
-        a += expr.randomStride * ctx.rng.below(expr.randomCount);
-    if (addrLimit_ > 0 && a >= addrLimit_) {
-        badAccess(ctx.tid, a);
-        return false;
-    }
-    out = a;
-    return true;
-}
-
 void
 Machine::finishThread(Tid t)
 {
@@ -1041,213 +922,6 @@ Machine::joinReady(const ir::Instruction &ins, Tid t,
         if (contexts_[target].state != ThreadState::Finished)
             return false;
     return true;
-}
-
-void
-Machine::execInstr(Tid t)
-{
-    ThreadContext &ctx = contexts_[t];
-    const auto &body = prog_.function(ctx.func).body;
-    if (ctx.pc >= body.size()) {
-        finishThread(t);
-        return;
-    }
-    const ir::Instruction &ins = body[ctx.pc];
-    const CostModel &cost = cfg_.cost;
-
-    switch (ins.op) {
-      case ir::OpCode::Nop:
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Compute:
-        addCost(t, ins.arg0, Bucket::Base);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Syscall:
-        addCost(t, cost.syscallCost + ins.arg0, Bucket::Base);
-        tel_.registry.add(met_.syscalls);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Load:
-      case ir::OpCode::Store: {
-        bool is_write = ins.op == ir::OpCode::Store;
-        addCost(t, is_write ? cost.storeCost : cost.loadCost,
-                Bucket::Base);
-        ir::Addr addr;
-        if (!evalAddr(ins.addr, ctx, addr))
-            break;  // out of address space: BadAccess stop raised
-        if (policy_.onMemAccess(*this, t, ins, addr, is_write)) {
-            if (is_write) {
-                // Stores accumulate into their granule; inside a
-                // transaction they go to the speculative buffer.
-                uint64_t granule = mem::granuleOf(addr);
-                auto it = ctx.txStores.find(granule);
-                uint64_t old = it != ctx.txStores.end()
-                    ? it->second
-                    : mem_.load(addr);
-                uint64_t value = old + ins.arg0 + 1;
-                if (htm_.inTx(t))
-                    ctx.txStores[granule] = value;
-                else
-                    mem_.store(addr, value);
-            }
-            ++ctx.pc;
-        }
-        // else: the access capacity/conflict-aborted this thread's own
-        // transaction; the context has been rolled back.
-        break;
-      }
-
-      case ir::OpCode::LockAcquire:
-        addCost(t, cost.syncCost, Bucket::Base);
-        if (sync_.lockTryAcquire(t, ins.arg0)) {
-            policy_.onSyncPerformed(*this, t, ins);
-            ++ctx.pc;
-        } else {
-            sync_.lockEnqueue(t, ins.arg0);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-
-      case ir::OpCode::LockRelease: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        policy_.onSyncPerformed(*this, t, ins);
-        Tid next = sync_.lockRelease(t, ins.arg0);
-        if (next != kNoTid) {
-            ThreadContext &nctx = contexts_[next];
-            const auto &nbody = prog_.function(nctx.func).body;
-            policy_.onSyncPerformed(*this, next, nbody[nctx.pc]);
-            makeRunnable(nctx);
-            ++nctx.pc;
-        }
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::CondSignal: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        policy_.onSyncPerformed(*this, t, ins);
-        Tid woken = sync_.condSignal(ins.arg0);
-        if (woken != kNoTid) {
-            ThreadContext &wctx = contexts_[woken];
-            const auto &wbody = prog_.function(wctx.func).body;
-            policy_.onSyncPerformed(*this, woken, wbody[wctx.pc]);
-            makeRunnable(wctx);
-            ++wctx.pc;
-        }
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::CondWait:
-        addCost(t, cost.syncCost, Bucket::Base);
-        if (sync_.condTryWait(ins.arg0)) {
-            policy_.onSyncPerformed(*this, t, ins);
-            ++ctx.pc;
-        } else {
-            sync_.condEnqueue(t, ins.arg0);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-
-      case ir::OpCode::Barrier: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        auto released = sync_.barrierArrive(t, ins.arg0, ins.arg1);
-        if (released.empty()) {
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        } else {
-            policy_.onBarrierRelease(*this, released);
-            for (Tid p : released) {
-                ThreadContext &pctx = contexts_[p];
-                makeRunnable(pctx);
-                ++pctx.pc;
-            }
-        }
-        break;
-      }
-
-      case ir::OpCode::ThreadCreate: {
-        addCost(t, cost.threadOpCost, Bucket::Base);
-        Tid child = static_cast<Tid>(contexts_.size());
-        contexts_.emplace_back();
-        ThreadContext &cctx = contexts_.back();
-        cctx.tid = child;
-        cctx.func = static_cast<ir::FuncId>(ins.arg0);
-        cctx.rng = Rng(threadSeed(cfg_.seed, child));
-        bindCode(cctx);
-        spawned_.push_back(child);
-        ++live_;
-        enrollRunnable(cctx);
-        policy_.onThreadCreated(*this, t, child);
-        policy_.onThreadStart(*this, child);
-        tel_.registry.add(met_.threadsCreated);
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::ThreadJoin: {
-        std::vector<Tid> targets;
-        if (joinReady(ins, t, targets)) {
-            addCost(t, cost.threadOpCost, Bucket::Base);
-            for (Tid target : targets)
-                policy_.onThreadJoined(*this, t, target);
-            ++ctx.pc;
-        } else {
-            for (Tid target : targets)
-                if (contexts_[target].state != ThreadState::Finished)
-                    joinWaiters_[target].push_back(t);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-      }
-
-      case ir::OpCode::LoopBegin: {
-        uint64_t trips = ins.arg0;
-        if (ins.arg1 > 0)
-            trips += ctx.rng.below(ins.arg1 + 1);
-        if (trips == 0) {
-            // Dynamically empty loop: skip past the matching LoopEnd.
-            ctx.pc = static_cast<uint32_t>(ins.match) + 1;
-        } else {
-            ctx.loops.push_back(
-                LoopFrame{ctx.pc, 0, trips, 0});
-            ++ctx.pc;
-        }
-        break;
-      }
-
-      case ir::OpCode::LoopEnd: {
-        if (ctx.loops.empty())
-            panic("Machine: LoopEnd with empty loop stack");
-        LoopFrame &frame = ctx.loops.back();
-        ++frame.index;
-        if (frame.index < frame.total) {
-            ctx.pc = frame.beginPc + 1;
-        } else {
-            ctx.loops.pop_back();
-            ++ctx.pc;
-        }
-        break;
-      }
-
-      case ir::OpCode::TxBegin:
-        policy_.onTxBegin(*this, t, ins);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::TxEnd:
-        policy_.onTxEnd(*this, t, ins);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::LoopCut:
-        policy_.onLoopCut(*this, t, ins);
-        ++ctx.pc;
-        break;
-    }
 }
 
 } // namespace txrace::sim

@@ -38,20 +38,6 @@
 
 namespace txrace::sim {
 
-/**
- * Which step-loop implementation run() uses. Decoded is the
- * threaded-code quantum loop over the pre-decoded program. Classic is
- * the pre-decode per-step loop (opcode switch, O(threads) runnable
- * scan, one pick per instruction), retained for one PR as
- * bench_simcore's reference lane and as a differential oracle — the
- * same role the LegacyScan conflict engine served — and slated for
- * removal. Both are seeded-deterministic; their schedules differ.
- */
-enum class StepLoop : uint8_t {
-    Decoded,
-    Classic,
-};
-
 /** Machine-level configuration. */
 struct MachineConfig
 {
@@ -101,9 +87,6 @@ struct MachineConfig
      * different values produce different (equally valid) schedules.
      */
     uint32_t schedQuantum = 32;
-    /** Step-loop implementation (bench/differential knob; production
-     *  front ends never change it). */
-    StepLoop stepLoop = StepLoop::Decoded;
     /** Scheduled pathology episodes injected from the scheduler loop
      *  (empty = no injection). Part of the run's identity: identical
      *  (program, config incl. plan, seed) runs are byte-identical. */
@@ -205,8 +188,8 @@ class Machine
     /** Seeded-deterministic digest of the schedule: every scheduler
      *  pick folds (step, tid) into it. Two same-(program, config,
      *  policy) runs must agree; the golden determinism test asserts
-     *  it. Specific to the step-loop lane and quantum, like the
-     *  schedule itself. */
+     *  it. Depends on the seed and quantum, like the schedule
+     *  itself. */
     uint64_t scheduleHash() const { return schedHash_; }
 
     /** Charge @p c cost units to @p t under bucket @p b, attributed
@@ -298,20 +281,9 @@ class Machine
     /** Threaded-code handler bodies (defined in machine.cc). */
     friend struct ExecHandlers;
 
-    /** Decoded quantum loop; Injected selects the lane that carries
-     *  the fault/interrupt machinery. Runs until the program ends or
+    /** The decoded quantum loop: runs until the program ends or
      *  error_ is filled. */
-    template <bool Injected> void runDecoded();
-    /** Classic per-step loop (see StepLoop::Classic). */
-    void runClassic();
-    /** Classic lane: one scheduler step; false = deadlock. */
-    bool step();
-    /** Classic lane: switch dispatch of one instruction. */
-    void execInstr(Tid t);
-    /** Evaluate an address expression; false = out of address space
-     *  (badAccess() raised, instruction incomplete). */
-    bool evalAddr(const ir::AddrExpr &expr, ThreadContext &ctx,
-                  ir::Addr &out);
+    void runLoop();
     /** In-transaction interrupt/retry injection for one op; true =
      *  an abort was delivered (the step is consumed). */
     bool injectAbort(Tid t);
@@ -332,10 +304,6 @@ class Machine
     /** Runnable -> @p to, dropping the dense-set entry (swap-remove). */
     void makeUnrunnable(ThreadContext &ctx, ThreadState to);
     Tid pickRunnable();
-    /** Classic lane: the original O(threads) scan pick. */
-    Tid pickRunnableScan();
-    /** Classic lane: the original O(threads) runnable count. */
-    uint32_t runnableThreadsScan() const;
     void reportDeadlock();
     /** Apply fault-plan transitions due at the current step; true =
      *  an episode edge was crossed (forced preemption point). */

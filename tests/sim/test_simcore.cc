@@ -2,17 +2,20 @@
  * @file
  * Contract tests for the decoded step loop (threaded-code dispatch,
  * quantum batching, O(1) runnable set): seeded determinism down to the
- * schedule hash and the full stats dump, agreement between the decoded
- * and classic lanes on schedule-independent outcomes, full-registry
- * ground-truth recall under the new scheduler, and structured
- * BadAccess errors instead of process death on malformed workloads.
+ * schedule hash and the full stats dump, golden schedules and stats
+ * digests that pin the loop's exact behaviour across changes to it,
+ * full-registry ground-truth recall, and structured BadAccess errors
+ * instead of process death on malformed workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/driver.hh"
+#include "core/fingerprint.hh"
 #include "core/policies.hh"
+#include "fault/fault.hh"
 #include "ir/builder.hh"
+#include "passes/passes.hh"
 #include "sim/machine.hh"
 #include "workloads/workloads.hh"
 
@@ -60,6 +63,47 @@ quietConfig(uint64_t seed = 1)
     return cfg;
 }
 
+/** FNV-1a digest of a stats dump: every name and value. */
+uint64_t
+statsDigest(const StatSet &stats)
+{
+    std::string text;
+    for (const auto &[name, value] : stats.all())
+        text += name + '=' + std::to_string(value) + '\n';
+    return core::fnv1a64(text);
+}
+
+/** FNV-1a digest of a race set's static instruction-pair keys. */
+uint64_t
+raceDigest(const detector::RaceSet &races)
+{
+    std::string text;
+    for (const auto &[a, b] : races.keys())
+        text += std::to_string(a) + ',' + std::to_string(b) + '\n';
+    return core::fnv1a64(text);
+}
+
+/** Golden driver-level outcome of one registry run. */
+struct DriverGolden
+{
+    uint64_t totalCost;
+    std::array<uint64_t, kNumBuckets> buckets;
+    size_t races;
+    uint64_t raceDigest;
+    uint64_t statsDigest;
+};
+
+void
+expectGolden(const core::RunResult &r, const DriverGolden &g)
+{
+    EXPECT_TRUE(r.error.ok());
+    EXPECT_EQ(r.totalCost, g.totalCost);
+    EXPECT_EQ(r.buckets, g.buckets);
+    EXPECT_EQ(r.races.count(), g.races);
+    EXPECT_EQ(raceDigest(r.races), g.raceDigest);
+    EXPECT_EQ(statsDigest(r.stats), g.statsDigest);
+}
+
 } // namespace
 
 TEST(SimCore, ScheduleHashAndStatsDeterministicPerSeed)
@@ -101,28 +145,6 @@ TEST(SimCore, GoldenStatsDumpIsByteIdentical)
     EXPECT_EQ(a.stats.all(), b.stats.all());
     EXPECT_EQ(a.races.keys(), b.races.keys());
     EXPECT_EQ(a.totalCost, b.totalCost);
-}
-
-TEST(SimCore, ClassicAndDecodedAgreeOnFinalMemory)
-{
-    // Stores accumulate commutatively (granule += arg0 + 1), so final
-    // memory is schedule-independent: the classic and decoded lanes
-    // must agree exactly even though their schedules differ. This is
-    // the differential oracle for the decoded handlers' store path.
-    ir::Program p = mixedProgram();
-    auto finalMemory = [&](StepLoop lane) {
-        MachineConfig cfg = quietConfig();
-        cfg.stepLoop = lane;
-        core::NativePolicy policy;
-        Machine m(p, cfg, policy);
-        EXPECT_TRUE(m.run().ok());
-        std::vector<uint64_t> image;
-        for (ir::Addr a = 0; a < p.addrSpaceSize(); a += 8)
-            image.push_back(m.memory().load(a));
-        return image;
-    };
-    EXPECT_EQ(finalMemory(StepLoop::Decoded),
-              finalMemory(StepLoop::Classic));
 }
 
 TEST(SimCore, QuantumIsBehaviorAffectingButDeterministic)
@@ -176,49 +198,150 @@ TEST(SimCore, GroundTruthRecallAcrossRegistry)
 
 TEST(SimCore, BadAccessSurfacesThroughDriver)
 {
-    // A worker whose thread-strided address walks off the end of the
-    // address space: the run must end with a structured BadAccess
-    // error through the full driver pipeline — campaign workers
-    // survive malformed workloads.
-    ir::ProgramBuilder b;
-    ir::Addr small = b.alloc("small", 128, 64);
-    ir::FuncId worker = b.beginFunction("worker");
-    ir::AddrExpr e;
-    e.base = small;
-    e.threadStride = 4096;  // tid >= 1 lands beyond the allocation
-    b.load(e);
-    b.endFunction();
-    b.beginFunction("main");
-    b.spawn(worker, 3);
-    b.joinAll();
-    b.endFunction();
-    ir::Program p = b.build();
+    // A worker whose address walks off the end of the address space —
+    // thread-strided (tid >= 1 lands beyond the allocation) or drawn
+    // at random from a range far wider than it: the run must end with
+    // a structured BadAccess error through the full driver pipeline,
+    // so campaign workers survive malformed workloads.
+    auto run = [](auto makeAddr) {
+        ir::ProgramBuilder b;
+        ir::Addr small = b.alloc("small", 128, 64);
+        ir::FuncId worker = b.beginFunction("worker");
+        b.loop(8, [&] { b.load(makeAddr(small)); });
+        b.endFunction();
+        b.beginFunction("main");
+        b.spawn(worker, 3);
+        b.joinAll();
+        b.endFunction();
+        ir::Program p = b.build();
 
-    core::RunConfig cfg;
-    cfg.mode = core::RunMode::TxRaceDynLoopcut;
-    cfg.machine.interruptPerStep = 0.0;
-    core::RunResult r = core::runProgram(p, cfg);
-    EXPECT_EQ(r.error.kind, RunError::Kind::BadAccess);
-    EXPECT_FALSE(r.error.ok());
-    EXPECT_FALSE(r.error.threads.empty());
+        core::RunConfig cfg;
+        cfg.mode = core::RunMode::TxRaceDynLoopcut;
+        cfg.machine.interruptPerStep = 0.0;
+        return core::runProgram(p, cfg);
+    };
+    core::RunResult strided = run([](ir::Addr small) {
+        return ir::AddrExpr::perThread(small, 4096);
+    });
+    core::RunResult random = run([](ir::Addr small) {
+        return ir::AddrExpr::randomIn(small, 64, 4096);
+    });
+    for (const core::RunResult *r : {&strided, &random}) {
+        EXPECT_EQ(r->error.kind, RunError::Kind::BadAccess);
+        EXPECT_FALSE(r->error.ok());
+        EXPECT_FALSE(r->error.threads.empty());
+    }
 }
 
-TEST(SimCore, ClassicLaneRaisesBadAccessToo)
+TEST(SimCore, GoldenZeroRateSchedules)
 {
-    ir::ProgramBuilder b;
-    ir::Addr small = b.alloc("small", 64, 64);
-    b.beginFunction("main");
-    ir::AddrExpr e;
-    e.base = small;
-    e.loopStride = 4096;
-    b.loopBegin(3);
-    b.load(e);
-    b.loopEnd();
-    b.endFunction();
-    ir::Program p = b.build();
-    core::NativePolicy policy;
-    MachineConfig cfg = quietConfig();
-    cfg.stepLoop = StepLoop::Classic;
-    Machine m(p, cfg, policy);
-    EXPECT_EQ(m.run().kind, RunError::Kind::BadAccess);
+    // Cross-change oracle for the step loop: exact schedule digests
+    // and virtual costs at zero injection rates, recorded once and
+    // pinned. Any change to the loop, the scheduler pick, the handlers
+    // or the RNG streams shows up here, not only a change in
+    // schedule-independent outcomes.
+    struct Golden
+    {
+        bool tsan;
+        uint64_t seed;
+        uint32_t quantum;
+        uint64_t hash;
+        uint64_t cost;
+    };
+    const Golden table[] = {
+        {false, 1, 1, 2693611815529163612ull, 1020},
+        {false, 1, 32, 7080501895227343869ull, 1020},
+        {false, 2, 1, 2606031226892523797ull, 1020},
+        {false, 2, 32, 15633752843445249771ull, 1020},
+        {true, 1, 1, 2693611815529163612ull, 3556},
+        {true, 1, 32, 7080501895227343869ull, 3556},
+        {true, 2, 1, 2606031226892523797ull, 3556},
+        {true, 2, 32, 15633752843445249771ull, 3556},
+    };
+    ir::Program p = mixedProgram();
+    for (const Golden &g : table) {
+        SCOPED_TRACE(testing::Message()
+                     << (g.tsan ? "tsan" : "native") << " seed " << g.seed
+                     << " quantum " << g.quantum);
+        MachineConfig cfg = quietConfig(g.seed);
+        cfg.schedQuantum = g.quantum;
+        core::NativePolicy native;
+        core::TsanPolicy tsan(1.0, 7);
+        Machine m(p, cfg,
+                  g.tsan ? static_cast<ExecutionPolicy &>(tsan) : native);
+        EXPECT_TRUE(m.run().ok());
+        EXPECT_EQ(m.scheduleHash(), g.hash);
+        EXPECT_EQ(m.totalCost(), g.cost);
+    }
+}
+
+TEST(SimCore, GoldenInterruptSchedule)
+{
+    // Same oracle with timer interrupts on. One core for three threads
+    // puts the machine in the oversubscribed regime, so TxRace
+    // transactions take interrupt aborts and the pinned digests cover
+    // the injection draws and the rollbacks they cause.
+    struct Golden
+    {
+        uint64_t seed;
+        uint64_t hash;
+        uint64_t cost;
+    };
+    const Golden table[] = {
+        {1, 14659316986956338732ull, 3549},
+        {2, 17097021600509763931ull, 3506},
+    };
+    ir::Program prepared = passes::preparedForTxRace(mixedProgram());
+    uint64_t interrupts = 0;
+    for (const Golden &g : table) {
+        core::TxRacePolicy policy(core::TxRacePolicy::Scheme::Dyn);
+        MachineConfig cfg = quietConfig(g.seed);
+        cfg.nCores = 1;
+        cfg.interruptPerStep = 1e-3;
+        Machine m(prepared, cfg, policy);
+        EXPECT_TRUE(m.run().ok());
+        interrupts += m.stats().get("machine.interrupt_aborts");
+        EXPECT_EQ(m.scheduleHash(), g.hash) << "seed " << g.seed;
+        EXPECT_EQ(m.totalCost(), g.cost) << "seed " << g.seed;
+    }
+    EXPECT_GT(interrupts, 0u);
+}
+
+TEST(SimCore, GoldenDriverRuns)
+{
+    // Registry apps through the full driver: cost buckets, race keys
+    // and the digest of the whole stats dump. dedup runs under the
+    // chaos fault plan, so every fault-episode edge is on the path.
+    auto run = [](const std::string &name, uint64_t seed,
+                  const fault::FaultPlan &faults) {
+        WorkloadParams params;
+        params.calibrate = false;
+        AppModel app = makeApp(name, params);
+        core::RunConfig cfg;
+        cfg.mode = core::RunMode::TxRaceDynLoopcut;
+        cfg.machine = app.machine;
+        cfg.machine.seed = seed;
+        cfg.machine.faults = faults;
+        return core::runProgram(app.program, cfg);
+    };
+    {
+        SCOPED_TRACE("vips");
+        expectGolden(run("vips", 3, {}),
+                     {423525,
+                      {164001, 221450, 36019, 1652, 403, 0},
+                      108,
+                      897883145238714849ull,
+                      15409326499536316598ull});
+    }
+    {
+        SCOPED_TRACE("dedup chaos");
+        core::RunResult r =
+            run("dedup", 7, fault::makeScenario("chaos", 30000));
+        EXPECT_GT(r.stats.get("fault.episodes_begun"), 0u);
+        expectGolden(r, {47792,
+                         {10516, 9358, 0, 409, 27509, 0},
+                         0,
+                         14695981039346656037ull,
+                         8096187514028582888ull});
+    }
 }
