@@ -25,7 +25,8 @@ struct ResultRow
     uint64_t totalCost = 0;
     uint64_t races = 0;
     double wallMs = 0.0;
-    /** Key counters (name -> value), in StatSet name order. */
+    /** Non-zero key counters (name -> value), in kKeyCounters
+     *  order. */
     std::vector<std::pair<std::string, uint64_t>> counters;
 };
 

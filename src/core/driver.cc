@@ -39,6 +39,20 @@ profileLoopCuts(const ir::Program &prepared,
     return profiler.loopcuts();
 }
 
+/**
+ * Run @p machine to completion and move what every mode reports into
+ * @p result: the run error, the cost and its buckets, and the
+ * telemetry bundle (whose registry holds all of the run's counters).
+ */
+void
+runMachine(sim::Machine &machine, RunResult &result)
+{
+    result.error = machine.run();
+    result.totalCost = machine.totalCost();
+    result.buckets = machine.buckets();
+    result.telemetry = std::move(machine.tel());
+}
+
 } // namespace
 
 RunResult
@@ -54,11 +68,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
       case RunMode::Native: {
         NativePolicy policy;
         sim::Machine machine(prog, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.telemetry = std::move(machine.tel());
+        runMachine(machine, result);
         break;
       }
 
@@ -66,13 +76,8 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         ir::Program prepared = passes::preparedForTSan(prog);
         EraserPolicy policy;
         sim::Machine machine(prepared, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(policy.lockset().stats());
+        runMachine(machine, result);
         result.races = policy.lockset().races();
-        result.telemetry = std::move(machine.tel());
         break;
       }
 
@@ -90,14 +95,9 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         mcfg.htm.trackInstructions = true;
         RaceTmPolicy policy;
         sim::Machine machine(prepared, mcfg, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.htm().stats());
+        runMachine(machine, result);
         result.races = policy.races();
         result.events = std::move(machine.events());
-        result.telemetry = std::move(machine.tel());
         break;
       }
 
@@ -108,13 +108,8 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         ir::Program prepared = passes::preparedForTSan(prog);
         TsanPolicy policy(rate, cfg.machine.seed ^ 0x7a57eULL);
         sim::Machine machine(prepared, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.det().stats());
+        runMachine(machine, result);
         result.races = machine.det().races();
-        result.telemetry = std::move(machine.tel());
         break;
       }
 
@@ -154,32 +149,23 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
                             cfg.machine.seed ^ 0x9075ea1ULL,
                             cfg.budget, cfg.slowpath);
         sim::Machine machine(prepared, mcfg, policy);
-        result.error = machine.run();
+        runMachine(machine, result);
         result.budget = policy.budgetReport();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.htm().stats());
-        result.stats.merge(machine.det().stats());
-        // Static-elision accounting (zero-valued entries omitted to
-        // keep the first-touch dump shape).
-        auto put = [&](const char *name, uint64_t v) {
-            if (v)
-                result.stats.add(name, v);
-        };
-        put("pass.elide.candidates", elision.candidates);
-        put("pass.elide.dominated", elision.dominated);
-        put("pass.elide.raw_downgraded", elision.rawDowngraded);
-        put("pass.elide.privatized", elision.privatized);
-        put("pass.elide.total", elision.elided());
-        for (const auto &[fn, n] : elision.perFunction)
-            result.stats.add("pass.elide.fn." + fn, n);
         result.races = machine.det().races();
         result.events = std::move(machine.events());
-        result.telemetry = std::move(machine.tel());
+        auto &reg = result.telemetry.registry;
+        reg.add(reg.counter("pass.elide.candidates"), elision.candidates);
+        reg.add(reg.counter("pass.elide.dominated"), elision.dominated);
+        reg.add(reg.counter("pass.elide.raw_downgraded"),
+                elision.rawDowngraded);
+        reg.add(reg.counter("pass.elide.privatized"), elision.privatized);
+        reg.add(reg.counter("pass.elide.total"), elision.elided());
+        for (const auto &[fn, n] : elision.perFunction)
+            reg.add(reg.counter("pass.elide.fn." + fn), n);
         break;
       }
     }
+    result.telemetry.registry.exportTo(result.stats);
     return result;
 }
 

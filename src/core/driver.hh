@@ -82,7 +82,8 @@ struct RunResult
     uint64_t totalCost = 0;
     /** Per-bucket cost attribution (Figure 7 breakdown). */
     std::array<uint64_t, sim::kNumBuckets> buckets{};
-    /** Merged machine + HTM + detector + policy counters. */
+    /** Every non-zero counter and gauge of telemetry.registry, by
+     *  name: rendered once, at the end of runProgram. */
     StatSet stats;
     /** Distinct static races reported. */
     detector::RaceSet races;

@@ -6,6 +6,16 @@ using sim::Bucket;
 using sim::Machine;
 
 void
+EraserPolicy::onRunEnd(Machine &m)
+{
+    auto &reg = m.tel().registry;
+    const detector::LocksetCounters &c = lockset_.counters();
+    reg.add(reg.counter("lockset.reads"), c.reads);
+    reg.add(reg.counter("lockset.writes"), c.writes);
+    reg.add(reg.counter("lockset.warnings"), c.warnings);
+}
+
+void
 EraserPolicy::onSyncPerformed(Machine &m, Tid t,
                               const ir::Instruction &ins)
 {

@@ -27,8 +27,9 @@
  * periodically promotes one level; failed probes back off
  * exponentially so a persistent storm is probed ever more rarely.
  *
- * All transitions are counted in the policy's StatSet and recorded in
- * the EventLog, so `--trace` shows the ladder in action.
+ * All transitions are counted in the machine's metric registry
+ * (txrace.gov.*) and recorded in the EventLog, so `--trace` shows the
+ * ladder in action.
  */
 
 #ifndef TXRACE_CORE_GOVERNOR_HH
@@ -128,10 +129,10 @@ class FallbackGovernor
      *  behaviour. */
     void setBudget(const BudgetController *budget) { budget_ = budget; }
 
-    /** Intern the governor's counters in @p reg (the owning policy
-     *  calls this at run start). Transition counting then goes through
-     *  interned ids; unbound, it falls back to the machine's
-     *  string-keyed StatSet (standalone unit-test use). */
+    /** Intern the governor's counters in @p reg. Required before the
+     *  first transition: the owning policy calls it at run start, and
+     *  a standalone governor (unit tests) binds the machine's
+     *  registry. */
     void bindMetrics(telemetry::MetricRegistry &reg);
 
     /**
@@ -202,10 +203,6 @@ class FallbackGovernor
     uint64_t now(sim::Machine &m, Tid t) const;
     void demote(sim::Machine &m, Tid t, uint32_t to, const char *why,
                 sim::Bucket reason);
-    /** Bump a transition counter: interned id when bound, string
-     *  fallback otherwise. */
-    void count(sim::Machine &m, telemetry::MetricId id,
-               const char *name);
 
     GovernorConfig cfg_;
     uint64_t seed_;
@@ -213,7 +210,7 @@ class FallbackGovernor
     const BudgetController *budget_ = nullptr;
     std::vector<ThreadGov> threads_;
 
-    /** Interned transition-counter ids (valid when reg_ is set). */
+    /** Interned transition-counter ids (bindMetrics). */
     struct Metrics
     {
         telemetry::MetricId failedProbes, demotions, probeSuccesses;

@@ -292,17 +292,17 @@ writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
                 result.buckets[b]);
     w.endObject();
 
-    // The merged string-keyed counter set: machine + HTM + detector +
-    // policy, exactly the names `--stats` prints (StatSet iterates its
-    // map in name order — deterministic).
+    // Every non-zero registry counter and gauge (machine, HTM engine,
+    // detector, policy, passes), exactly the names `--stats` prints,
+    // in name order — deterministic.
     w.key("counters");
     w.beginObject();
     for (const auto &[name, value] : result.stats.all())
         w.field(name, value);
     w.endObject();
 
-    // Histograms live only in the typed registry (not exported into
-    // the StatSet); emitted in registration-id order.
+    // Histograms are not part of RunResult::stats; emitted from the
+    // registry in registration-id order.
     w.key("histograms");
     w.beginObject();
     const auto &reg = result.telemetry.registry;

@@ -67,6 +67,8 @@ class TsanPolicy : public sim::ExecutionPolicy
 class EraserPolicy : public sim::ExecutionPolicy
 {
   public:
+    /** Transfers the lockset counters into the machine's registry. */
+    void onRunEnd(sim::Machine &m) override;
     void onSyncPerformed(sim::Machine &m, Tid t,
                          const ir::Instruction &ins) override;
     bool onMemAccess(sim::Machine &m, Tid t,
@@ -108,6 +110,13 @@ class RaceTmPolicy : public sim::ExecutionPolicy
 
   private:
     detector::RaceSet races_;
+    /** Interned tx.* counter ids (onRunStart). */
+    struct Metrics
+    {
+        telemetry::MetricId txBegins, txCommitted;
+        telemetry::MetricId abortConflict, abortCapacity, abortUnknown;
+    };
+    Metrics met_{};
 };
 
 /**

@@ -67,23 +67,6 @@ HtmEngine::reset()
     vlog_.reset();
 }
 
-StatSet
-HtmEngine::stats() const
-{
-    StatSet out;
-    auto put = [&](const char *name, uint64_t v) {
-        if (v)
-            out.set(name, v);
-    };
-    put("htm.begins", counters_.begins);
-    put("htm.commits", counters_.commits);
-    put("htm.aborts.conflict", counters_.abortsConflict);
-    put("htm.aborts.capacity", counters_.abortsCapacity);
-    put("htm.aborts.unknown", counters_.abortsUnknown);
-    put("htm.aborts.other", counters_.abortsOther);
-    return out;
-}
-
 bool
 HtmEngine::canBegin() const
 {

@@ -57,7 +57,6 @@
 #include "ir/instruction.hh"
 #include "mem/layout.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace txrace::htm {
@@ -137,8 +136,9 @@ struct HtmConfig
 
 /**
  * Fixed-layout engine counters. The begin/commit/abort paths are the
- * hottest code in the model, so they bump plain integers; stats()
- * materializes the string-keyed compatibility view on demand.
+ * hottest code in the model, so they bump plain integers; the
+ * machine transfers them into its telemetry registry (htm.begins,
+ * htm.commits, htm.aborts.*) once, at the end of the run.
  */
 struct HtmCounters
 {
@@ -148,10 +148,8 @@ struct HtmCounters
     uint64_t abortsCapacity = 0;
     uint64_t abortsUnknown = 0;
     uint64_t abortsOther = 0;
-    /** Accesses answered by the owned-line filter (probe skipped).
-     *  Exported as htm.dir.filter_hit by the machine's run-end
-     *  telemetry transfer, NOT by stats() — the driver merges both
-     *  stats() and the machine export, and StatSet::merge sums. */
+    /** Accesses answered by the owned-line filter (probe skipped);
+     *  transferred as htm.dir.filter_hit. */
     uint64_t filterHits = 0;
 };
 
@@ -287,11 +285,6 @@ class HtmEngine
 
     /** The directory, for telemetry export and tests. */
     const LineDirectory *lineDirectory() const { return &dir_; }
-
-    /** String-keyed view of counters() under the htm.* names
-     *  (compatibility surface for dumps and tests; zero-valued
-     *  counters are omitted, matching StatSet's first-touch shape). */
-    StatSet stats() const;
 
   private:
     struct TxState

@@ -688,14 +688,14 @@ Machine::run()
         tel_.forensics.push_back(std::move(cap));
     }
     policy_.onRunEnd(*this);
-    tel_.registry.set(met_.steps, steps_);
+    auto &reg = tel_.registry;
+    reg.set(met_.steps, steps_);
     tel_.trace.closeAll(steps_);
     // Line-directory telemetry: the directory accumulates plain
     // counters internally (the access path is too hot for even an
     // interned-id update per probe); transfer them into the registry
     // once, here, so --metrics-json shows the engine's behavior.
     if (const htm::LineDirectory *dir = htm_.lineDirectory()) {
-        auto &reg = tel_.registry;
         const htm::LineDirStats &ds = dir->stats();
         reg.set(reg.gauge("htm.dir.capacity"), dir->capacity());
         reg.set(reg.gauge("htm.dir.occupied_peak"), ds.occupiedPeak);
@@ -714,17 +714,32 @@ Machine::run()
     // Version-log telemetry (windowed slow path only): same plain-
     // counter transfer as the directory's.
     if (const htm::VersionLog *vl = htm_.versionLog()) {
-        auto &reg = tel_.registry;
         const htm::VersionLogCounters &vc = vl->counters();
         reg.add(reg.counter("htm.vlog.entries"), vc.entries);
         reg.add(reg.counter("htm.vlog.ring_overflows"),
                 vc.ringOverflows);
         reg.add(reg.counter("htm.vlog.published"), vc.published);
     }
-    // Compatibility export: every registry counter/gauge lands in the
-    // string-keyed StatSet under its registered name, so harnesses and
-    // determinism tests see the same dump shape as before.
-    tel_.registry.exportTo(stats_);
+    // Engine and detector counters: the same transfer. Modes that
+    // never touch the engine or the detector leave these at zero,
+    // which no export prints.
+    const htm::HtmCounters &hc = htm_.counters();
+    reg.add(reg.counter("htm.begins"), hc.begins);
+    reg.add(reg.counter("htm.commits"), hc.commits);
+    reg.add(reg.counter("htm.aborts.conflict"), hc.abortsConflict);
+    reg.add(reg.counter("htm.aborts.capacity"), hc.abortsCapacity);
+    reg.add(reg.counter("htm.aborts.unknown"), hc.abortsUnknown);
+    reg.add(reg.counter("htm.aborts.other"), hc.abortsOther);
+    const detector::DetCounters &dc = det_.counters();
+    reg.add(reg.counter("detector.reads"), dc.reads);
+    reg.add(reg.counter("detector.writes"), dc.writes);
+    reg.add(reg.counter("detector.race_hits"), dc.raceHits);
+    reg.add(reg.counter("detector.read_epoch_sufficient"),
+            dc.readEpochSufficient);
+    reg.add(reg.counter("detector.read_vc_promoted"), dc.readVcPromoted);
+    reg.add(reg.counter("detector.evictions"), dc.evictions);
+    reg.add(reg.counter("detector.epoch_fast_hits"), dc.epochFastHits);
+    reg.add(reg.counter("detector.replay_checks"), dc.replayChecks);
     return error_;
 }
 
@@ -809,10 +824,13 @@ Machine::advanceFaults()
     bool ways_changed = false;
     for (const fault::FaultTransition &tr : transitions) {
         const fault::FaultEpisode &ep = *tr.episode;
-        stats_.add(tr.begin ? "fault.episodes_begun"
-                            : "fault.episodes_ended");
-        stats_.add(std::string("fault.") + fault::faultKindName(ep.kind)
-                   + (tr.begin ? ".begin" : ".end"));
+        // Edges are rare: intern the counters where they are bumped.
+        auto &reg = tel_.registry;
+        reg.add(reg.counter(tr.begin ? "fault.episodes_begun"
+                                     : "fault.episodes_ended"));
+        reg.add(reg.counter(std::string("fault.") +
+                            fault::faultKindName(ep.kind) +
+                            (tr.begin ? ".begin" : ".end")));
         if (events_.enabled())
             events_.record(steps_, 0,
                            tr.begin ? "fault-begin" : "fault-end",

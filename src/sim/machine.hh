@@ -32,7 +32,6 @@
 #include "sim/eventlog.hh"
 #include "sim/policy.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "sync/primitives.hh"
 #include "telemetry/telemetry.hh"
 
@@ -246,12 +245,6 @@ class Machine
         return buckets_;
     }
 
-    /** Machine+policy counters. Cold-path/string-keyed compatibility
-     *  surface; hot-path counters live in tel().registry and are
-     *  exported into this set at the end of run(). */
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
-
     /** Telemetry bundle: typed metrics registry, phase profiler,
      *  conflict attribution, trace spans. Policies intern their
      *  metric ids here in onRunStart(). */
@@ -357,7 +350,6 @@ class Machine
     uint64_t steps_ = 0;
     uint64_t totalCost_ = 0;
     std::array<uint64_t, kNumBuckets> buckets_{};
-    StatSet stats_;
     EventLog events_;
     RunError error_;
     RunError::Kind stopRequest_ = RunError::Kind::None;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight named statistics counters plus small numeric helpers
- * (geometric mean) used throughout the experiment harnesses.
+ * A name-sorted table of counter values (a run's rendered counters, a
+ * campaign's totals) plus small numeric helpers (geometric mean) used
+ * throughout the experiment harnesses.
  */
 
 #ifndef TXRACE_SUPPORT_STATS_HH
@@ -15,23 +16,17 @@
 namespace txrace {
 
 /**
- * A bag of named 64-bit counters.
- *
- * Counters spring into existence at first touch. The map is ordered so
- * that dumps are stable across runs, which the determinism tests rely
- * on.
+ * Named 64-bit counter values, written whole with set(). Nothing
+ * counts into a StatSet: a run's counters live in its
+ * telemetry::MetricRegistry, which renders them here once, at the end
+ * of runProgram (MetricRegistry::exportTo); a campaign's totals are
+ * set by its aggregator. The map is ordered so that dumps are stable
+ * across runs, which the determinism tests rely on.
  */
 class StatSet
 {
   public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void
-    add(const std::string &name, uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-
-    /** Value of @p name, or zero if never touched. */
+    /** Value of @p name, or zero if never set. */
     uint64_t
     get(const std::string &name) const
     {
@@ -45,17 +40,6 @@ class StatSet
     {
         counters_[name] = value;
     }
-
-    /** Merge another set into this one (summing shared names). */
-    void
-    merge(const StatSet &other)
-    {
-        for (const auto &[name, value] : other.counters_)
-            counters_[name] += value;
-    }
-
-    /** Remove all counters. */
-    void clear() { counters_.clear(); }
 
     /** Stable iteration over (name, value) pairs. */
     const std::map<std::string, uint64_t> &all() const { return counters_; }

@@ -5,8 +5,7 @@
  *
  * The registry (registry.hh) hands out dense integer ids at
  * registration time; hot paths then update metrics by indexing a
- * plain vector — no string hashing or map lookup per event, which is
- * what the old string-keyed StatSet cost on every counter bump.
+ * plain vector — no string hashing or map lookup per event.
  */
 
 #ifndef TXRACE_TELEMETRY_METRIC_HH

@@ -10,10 +10,11 @@
  * (machine, policy) setups produce identical id assignments across
  * runs — the determinism the byte-identical-stats tests rely on.
  *
- * The registry exports into the legacy string-keyed StatSet
- * (exportTo) so every existing consumer of RunResult::stats — the
- * bench harnesses, `txrace_run --stats`, the determinism tests —
- * keeps working unchanged, with identical counter names.
+ * The registry is a run's only counter store. Components that keep
+ * plain hot-path counters of their own (HTM engine, line directory,
+ * version log, FastTrack, lockset) transfer them in at run end;
+ * RunResult::stats, `txrace_run --stats` and the counters block of
+ * --metrics-json are all rendered from it by exportTo.
  */
 
 #ifndef TXRACE_TELEMETRY_REGISTRY_HH
@@ -115,8 +116,9 @@ class MetricRegistry
     /**
      * Write every non-zero counter and gauge into @p out under its
      * registered name (set semantics: safe to call more than once).
-     * Zero-valued metrics are skipped so dumps keep the old StatSet
-     * "counters spring into existence at first touch" shape.
+     * Zero-valued metrics are skipped, so a name registered but never
+     * bumped (e.g. a run-end transfer of an engine the mode never
+     * used) does not appear in any dump.
      */
     void exportTo(StatSet &out) const;
 

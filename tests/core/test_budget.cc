@@ -33,7 +33,8 @@ tinyProgram()
     return b.build();
 }
 
-/** A machine used only as a pair of cost-bucket clocks. */
+/** A machine used only as a pair of cost-bucket clocks and as the
+ *  metric registry controllers count into (bindMetrics). */
 struct BudgetHarness
 {
     ir::Program prog = tinyProgram();
@@ -65,6 +66,7 @@ TEST(Budget, DisabledAdmitsEverything)
 {
     BudgetHarness h;
     BudgetController b(BudgetConfig{}, 1);
+    b.bindMetrics(h.m.tel().registry);
     EXPECT_FALSE(b.enabled());
     h.overhead(100000);
     EXPECT_TRUE(b.admitRegion(h.m, 0));
@@ -76,6 +78,7 @@ TEST(Budget, WindowsCloseOnBaseCrossingsOnly)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     // Overhead alone never closes a window: the clock is native time.
@@ -98,6 +101,7 @@ TEST(Budget, TrailingPartialWindowIsNotRecorded)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
     h.base(999);
     h.overhead(10000);
@@ -109,6 +113,7 @@ TEST(Budget, AdmissionGatesAtTheSoftLine)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     h.overhead(29);  // below soft (30)
@@ -131,6 +136,7 @@ TEST(Budget, AdmissionIsProspective)
     // gate can refuse.
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 31));  // 0 + 31 > soft 30
@@ -146,6 +152,7 @@ TEST(Budget, CutsDeepestSpenderFirstUntilExcessCovered)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     // Window overhead 60: excess over soft is 30. Site 5 spent 40 (it
@@ -169,6 +176,7 @@ TEST(Budget, RepeatedCutsClampAtTheFloor)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     for (int i = 0; i < 10; ++i) {
@@ -185,6 +193,7 @@ TEST(Budget, ProbeIntervalDoublesPerFailureAndCaps)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     auto stormWindow = [&] {
@@ -245,6 +254,9 @@ TEST(Budget, SamplingDrawsAreDeterministicPerSeed)
     BudgetHarness ha, hb, hc;
     BudgetConfig cfg = smallConfig();
     BudgetController a(cfg, 42), b(cfg, 42), c(cfg, 43);
+    a.bindMetrics(ha.m.tel().registry);
+    b.bindMetrics(hb.m.tel().registry);
+    c.bindMetrics(hc.m.tel().registry);
 
     // Cut site 5 once in each controller so draws actually happen.
     auto cutOnce = [](BudgetHarness &h, BudgetController &ctl) {
@@ -278,6 +290,7 @@ TEST(Budget, UnsatisfiableAfterConsecutiveHardRefusedWindows)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     // Un-gateable overhead alone blows the hard budget, window after
@@ -302,6 +315,7 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    b.bindMetrics(h.m.tel().registry);
     b.onRunStart(h.m);
 
     for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
@@ -319,6 +333,7 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     // accumulate the consecutive streak either.
     BudgetHarness h2;
     BudgetController b2(cfg, 1);
+    b2.bindMetrics(h2.m.tel().registry);
     b2.onRunStart(h2.m);
     for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
         bool storm = i % 2 == 0;

@@ -66,6 +66,30 @@ TEST(Driver, NativeRunHasOnlyBaseCost)
     EXPECT_EQ(r.races.count(), 0u);
 }
 
+TEST(Driver, NativeStatsCarryNoDetectionCounters)
+{
+    // Every run end transfers the HTM-engine and detector counters
+    // into the registry, so a Native run registers them too, at zero.
+    // The rendered stats skip zeros and so must not show them. The
+    // line directory's capacity gauge is a configuration fact that
+    // every mode reports.
+    core::RunResult r = core::runProgram(benchmarkProgram(),
+                                         config(core::RunMode::Native));
+    ASSERT_TRUE(r.error.ok());
+    const auto &reg = r.telemetry.registry;
+    EXPECT_NE(reg.find("htm.begins"), telemetry::kNoMetric);
+    EXPECT_NE(reg.find("detector.reads"), telemetry::kNoMetric);
+    ASSERT_FALSE(r.stats.all().empty());
+    for (const auto &[name, value] : r.stats.all()) {
+        EXPECT_NE(value, 0u) << name;
+        bool engine = name.rfind("htm.", 0) == 0 &&
+                      name != "htm.dir.capacity";
+        EXPECT_FALSE(engine || name.rfind("detector.", 0) == 0 ||
+                     name.rfind("lockset.", 0) == 0)
+            << name;
+    }
+}
+
 TEST(Driver, OverheadOrderingNativeTxRaceTSan)
 {
     Program p = benchmarkProgram();

@@ -215,7 +215,6 @@ runStream(const StreamParams &p, int steps)
               plain.counters().abortsUnknown);
     EXPECT_EQ(filt.counters().abortsOther,
               plain.counters().abortsOther);
-    EXPECT_EQ(filt.stats().all(), plain.stats().all());
     // The stream repeats lines inside transactions constantly, so the
     // filter must actually have absorbed traffic — otherwise this
     // test silently stops testing anything.

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/driver.hh"
 #include "core/fingerprint.hh"
+#include "core/metrics_export.hh"
 #include "core/policies.hh"
 #include "fault/fault.hh"
 #include "ir/builder.hh"
@@ -300,7 +303,7 @@ TEST(SimCore, GoldenInterruptSchedule)
         cfg.interruptPerStep = 1e-3;
         Machine m(prepared, cfg, policy);
         EXPECT_TRUE(m.run().ok());
-        interrupts += m.stats().get("machine.interrupt_aborts");
+        interrupts += m.tel().registry.valueByName("machine.interrupt_aborts");
         EXPECT_EQ(m.scheduleHash(), g.hash) << "seed " << g.seed;
         EXPECT_EQ(m.totalCost(), g.cost) << "seed " << g.seed;
     }
@@ -343,5 +346,76 @@ TEST(SimCore, GoldenDriverRuns)
                          0,
                          14695981039346656037ull,
                          8096187514028582888ull});
+    }
+}
+
+TEST(SimCore, GoldenPerModeCounters)
+{
+    // Counter oracle for every detection mode: FNV-1a digests of the
+    // full stats dump and of the txrace-metrics-v1 document, one app
+    // and seed per mode, plus a TxRace run under the chaos fault plan
+    // (fault-episode counters) and one under budget + governor
+    // (monitor counters). Each mode feeds a different mix of counter
+    // sources (machine, HTM engine, FastTrack, lockset, policy,
+    // elision pass), so a source that is dropped, double counted or
+    // renamed moves a digest here.
+    struct Golden
+    {
+        const char *label;
+        core::RunMode mode;
+        const char *scenario;  ///< fault scenario, or nullptr
+        bool monitor;          ///< budget + governor
+        uint64_t statsDigest;
+        uint64_t jsonDigest;
+    };
+    using core::RunMode;
+    const Golden table[] = {
+        {"native", RunMode::Native, nullptr, false,
+         16850896873376036676ull, 12184788225347900012ull},
+        {"tsan", RunMode::TSan, nullptr, false,
+         8990410440068579352ull, 17828288486084949805ull},
+        {"tsan-sampling", RunMode::TSanSampling, nullptr, false,
+         9475614951966586437ull, 14007625509019587479ull},
+        {"eraser", RunMode::Eraser, nullptr, false,
+         13892438091853296140ull, 18179904816424130616ull},
+        {"racetm", RunMode::RaceTM, nullptr, false,
+         3936948544918430222ull, 9767681785517037112ull},
+        {"txrace-noopt", RunMode::TxRaceNoOpt, nullptr, false,
+         1978541392043366450ull, 9268034002762015065ull},
+        {"txrace-dyn", RunMode::TxRaceDynLoopcut, nullptr, false,
+         15409326499536316598ull, 16494195489821203299ull},
+        {"txrace-prof", RunMode::TxRaceProfLoopcut, nullptr, false,
+         17800017643682406389ull, 16209397298842352319ull},
+        {"txrace-dyn chaos", RunMode::TxRaceDynLoopcut, "chaos", false,
+         14938189854612031508ull, 15688371069867029323ull},
+        {"txrace-dyn monitor", RunMode::TxRaceDynLoopcut, nullptr, true,
+         13483793679046822048ull, 4410090250276300331ull},
+    };
+    WorkloadParams params;
+    params.calibrate = false;
+    AppModel app = makeApp("vips", params);
+    for (const Golden &g : table) {
+        SCOPED_TRACE(g.label);
+        core::RunConfig cfg;
+        cfg.mode = g.mode;
+        cfg.sampleRate = 0.25;
+        cfg.machine = app.machine;
+        cfg.machine.seed = 3;
+        if (g.scenario)
+            cfg.machine.faults = fault::makeScenario(g.scenario, 30000);
+        if (g.monitor) {
+            cfg.governor.enabled = true;
+            cfg.budget.enabled = true;
+        }
+        core::RunResult r = core::runProgram(app.program, cfg);
+        ASSERT_TRUE(r.error.ok());
+        core::MetricsMeta meta;
+        meta.app = "vips";
+        meta.mode = g.label;
+        meta.seed = 3;
+        std::ostringstream json;
+        core::writeMetricsJson(json, meta, &app.program, r);
+        EXPECT_EQ(statsDigest(r.stats), g.statsDigest);
+        EXPECT_EQ(core::fnv1a64(json.str()), g.jsonDigest);
     }
 }

@@ -151,8 +151,8 @@ TEST(TxValues, AbortDiscardsSpeculativeStores)
     Machine m(prepared, cfg.machine, policy);
     m.run();
 
-    EXPECT_GE(m.stats().get("tx.abort.capacity") +
-                  m.htm().stats().get("htm.aborts.capacity"),
+    EXPECT_GE(m.tel().registry.valueByName("tx.abort.capacity") +
+                  m.tel().registry.valueByName("htm.aborts.capacity"),
               1u);
     // Every row was incremented exactly 4 times per worker despite
     // all the aborted attempts: no double-publish, no loss.
@@ -192,8 +192,8 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
     MachineConfig cfg = quietConfig(5);
     Machine m(prepared, cfg, policy);
     m.run();
-    EXPECT_GT(m.stats().get("tx.abort.conflict") +
-                  m.htm().stats().get("htm.aborts.conflict"),
+    EXPECT_GT(m.tel().registry.valueByName("tx.abort.conflict") +
+                  m.tel().registry.valueByName("htm.aborts.conflict"),
               0u);
     EXPECT_EQ(m.memory().load(counter), 30u);
 }

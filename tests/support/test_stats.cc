@@ -18,50 +18,20 @@ TEST(StatSet, StartsEmpty)
     EXPECT_TRUE(s.all().empty());
 }
 
-TEST(StatSet, AddAccumulates)
-{
-    StatSet s;
-    s.add("x");
-    s.add("x", 4);
-    EXPECT_EQ(s.get("x"), 5u);
-}
-
 TEST(StatSet, SetOverwrites)
 {
     StatSet s;
-    s.add("x", 10);
+    s.set("x", 10);
     s.set("x", 3);
     EXPECT_EQ(s.get("x"), 3u);
-}
-
-TEST(StatSet, MergeSumsSharedNames)
-{
-    StatSet a, b;
-    a.add("shared", 2);
-    a.add("only-a", 1);
-    b.add("shared", 3);
-    b.add("only-b", 7);
-    a.merge(b);
-    EXPECT_EQ(a.get("shared"), 5u);
-    EXPECT_EQ(a.get("only-a"), 1u);
-    EXPECT_EQ(a.get("only-b"), 7u);
-}
-
-TEST(StatSet, ClearRemovesEverything)
-{
-    StatSet s;
-    s.add("x", 2);
-    s.clear();
-    EXPECT_EQ(s.get("x"), 0u);
-    EXPECT_TRUE(s.all().empty());
 }
 
 TEST(StatSet, IterationIsSorted)
 {
     StatSet s;
-    s.add("zebra");
-    s.add("alpha");
-    s.add("mid");
+    s.set("zebra", 1);
+    s.set("alpha", 1);
+    s.set("mid", 1);
     std::vector<std::string> names;
     for (const auto &[name, value] : s.all())
         names.push_back(name);

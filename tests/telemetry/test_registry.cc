@@ -2,7 +2,7 @@
  * @file
  * Unit tests of the typed metrics registry and the log-bucket
  * histogram: bucket boundaries, merging, interned-id determinism, and
- * the StatSet compatibility export.
+ * the StatSet rendering (exportTo).
  */
 
 #include <gtest/gtest.h>
@@ -118,8 +118,8 @@ TEST(MetricRegistry, ExportSkipsZerosAndHistograms)
     reg.exportTo(out);
     EXPECT_EQ(out.get("touched"), 3u);
     EXPECT_EQ(out.get("gauge.set"), 8u);
-    // Zero-valued and histogram metrics never appear: the dump keeps
-    // the legacy "counters spring into existence at first touch" shape.
+    // Zero-valued and histogram metrics never appear: a counter that
+    // is registered but never bumped is absent from every dump.
     EXPECT_EQ(out.all().count("never.touched"), 0u);
     EXPECT_EQ(out.all().count("a.histogram"), 0u);
 
