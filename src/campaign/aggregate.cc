@@ -38,22 +38,14 @@ getStr(const telemetry::JsonValue &obj, std::string_view key)
 } // namespace
 
 bool
-Aggregator::add(const JobOutcome &outcome)
+Aggregator::add(const JobOutcome &outcome,
+                std::vector<const FoundRace *> *newFindings)
 {
     // At-least-once delivery (service resume re-submits jobs whose
     // outcomes may already be checkpointed): a duplicate id folds
     // nothing.
     if (!seenJobs_.insert(outcome.spec.id).second)
         return false;
-    foldCounters(outcome);
-    for (const FoundRace &race : outcome.races)
-        foldRace(outcome, race);
-    return true;
-}
-
-void
-Aggregator::foldCounters(const JobOutcome &outcome)
-{
     ++runs_;
     maxRound_ = std::max<uint64_t>(maxRound_, outcome.spec.round);
     if (!outcome.ok)
@@ -69,30 +61,29 @@ Aggregator::foldCounters(const JobOutcome &outcome)
     va.rawReports += outcome.races.size();
     rawReports_ += outcome.races.size();
     profile_.merge(outcome.profile);
-}
 
-bool
-Aggregator::foldRace(const JobOutcome &outcome, const FoundRace &race)
-{
-    Acc &acc = findings_[race.sig.key];
-    const bool fresh = acc.runsSeen == 0;
-    if (fresh) {
-        acc.sig = race.sig;
-        acc.app = outcome.spec.app;
+    for (const FoundRace &race : outcome.races) {
+        Acc &acc = findings_[race.sig.key];
+        if (acc.runsSeen == 0) {
+            acc.sig = race.sig;
+            acc.app = outcome.spec.app;
+            if (newFindings)
+                newFindings->push_back(&race);
+        }
+        ++acc.runsSeen;
+        acc.totalHits += race.hits;
+        // First sighting is the LOWEST job id ever to report the
+        // race, regardless of the order outcomes reach us.
+        if (outcome.spec.id < acc.firstJob) {
+            acc.firstJob = outcome.spec.id;
+            acc.firstKind = race.kind;
+            acc.firstSeed = outcome.spec.seed;
+            acc.firstVariant = outcome.spec.variant;
+            acc.firstConfigDigest = outcome.configDigest;
+            acc.firstRepro = outcome.repro;
+        }
     }
-    ++acc.runsSeen;
-    acc.totalHits += race.hits;
-    // First sighting is the LOWEST job id ever to report the
-    // race, regardless of the order outcomes reach us.
-    if (outcome.spec.id < acc.firstJob) {
-        acc.firstJob = outcome.spec.id;
-        acc.firstKind = race.kind;
-        acc.firstSeed = outcome.spec.seed;
-        acc.firstVariant = outcome.spec.variant;
-        acc.firstConfigDigest = outcome.configDigest;
-        acc.firstRepro = outcome.repro;
-    }
-    return fresh;
+    return true;
 }
 
 void
@@ -115,8 +106,8 @@ Aggregator::merge(const Aggregator &o)
     }
     profile_.merge(o.profile_);
 
-    // Deterministic total order on first-sighting metadata. In the
-    // shard/resume paths equal job ids carry identical metadata
+    // Deterministic total order on first-sighting metadata. Within
+    // one campaign equal job ids carry identical metadata
     // (job execution is a pure function of the spec), so the
     // fallthrough comparisons only matter for unions of unrelated
     // stores — there they keep merge commutative.
@@ -444,7 +435,7 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
     w.field("schema", "txrace-campaign-v1");
 
     // Campaign identity: everything that determines the report.
-    // Deliberately NOT here: jobs, shards, wall time, steals —
+    // Deliberately NOT here: jobs, wall time, steals —
     // execution facts that must not leak into the deterministic
     // artifact.
     w.key("campaign");

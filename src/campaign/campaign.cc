@@ -11,7 +11,6 @@
 #include "campaign/pool.hh"
 #include "campaign/progress.hh"
 #include "campaign/queue.hh"
-#include "campaign/shard.hh"
 #include "campaign/strategy.hh"
 #include "core/repro.hh"
 #include "support/log.hh"
@@ -24,7 +23,7 @@ namespace {
 void
 emitProgress(std::ostream &os, const char *event, uint64_t round,
              uint64_t jobsTotal, uint64_t jobsDone,
-             const ShardedAggregator &agg,
+             const Aggregator &agg,
              const std::vector<uint64_t> &workerDone,
              const std::vector<std::atomic<uint8_t>> &workerBusy)
 {
@@ -91,7 +90,7 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
         queue);
 
     std::unique_ptr<Strategy> strategy = makeStrategy(cfg.strategy);
-    ShardedAggregator aggregator(cfg.shards);
+    Aggregator aggregator;
     std::vector<JobOutcome> history;
     uint64_t nextId = 0;
     uint64_t rounds = 0;
@@ -140,8 +139,7 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
         emitProgress(*progressJson, "end", rounds, jobsTotal, jobsDone,
                      aggregator, workerDone, workerBusy);
 
-    CampaignResult result =
-        aggregator.collapse().finalize(cfg, groundTruth);
+    CampaignResult result = aggregator.finalize(cfg, groundTruth);
     result.timing.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
     result.timing.runsPerSec =

@@ -41,7 +41,7 @@ struct ProgressRecord
     /** Per-pool-worker (jobs done, busy now) gauges. */
     std::vector<std::pair<uint64_t, bool>> workers;
     /** Service gauges, emitted in the given order when nonempty
-     *  (shard depths, checkpoint latency, ingest rate — see
+     *  (checkpoint latency, ingest rate — see
      *  docs/OBSERVABILITY.md). */
     std::vector<std::pair<std::string, uint64_t>> service;
 };

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "telemetry/jsonparse.hh"
+#include "workloads/workloads.hh"
 
 namespace txrace::service {
 
@@ -31,13 +32,26 @@ parseJobLine(const std::string &line,
         return false;
     }
     spec.app = app->str;
+    const std::vector<std::string> &apps = workloads::appNames();
+    if (std::find(apps.begin(), apps.end(), spec.app) == apps.end()) {
+        error = "unknown app '" + spec.app + "'";
+        return false;
+    }
     if (const telemetry::JsonValue *v = doc.find("seed"))
         spec.seed = v->asU64();
     if (const telemetry::JsonValue *v = doc.find("variant");
         v && v->isString() && !v->str.empty())
         spec.variant = v->str;
-    if (const telemetry::JsonValue *v = doc.find("workers"))
-        spec.workers = uint32_t(v->asU64());
+    if (const telemetry::JsonValue *v = doc.find("workers")) {
+        const uint64_t workers = v->asU64();
+        if (!workloads::validWorkerCount(workers)) {
+            error = "workers " + std::to_string(workers) +
+                    " outside [" + std::to_string(workloads::kMinWorkers) +
+                    ", " + std::to_string(workloads::kMaxWorkers) + "]";
+            return false;
+        }
+        spec.workers = uint32_t(workers);
+    }
     if (const telemetry::JsonValue *v = doc.find("scale"))
         spec.scale = v->asU64();
     if (const telemetry::JsonValue *v = doc.find("irq_scale");

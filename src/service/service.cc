@@ -11,11 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/aggregate.hh"
 #include "campaign/execute.hh"
 #include "campaign/pool.hh"
 #include "campaign/progress.hh"
 #include "campaign/queue.hh"
-#include "campaign/shard.hh"
 #include "campaign/strategy.hh"
 #include "core/repro.hh"
 #include "detector/report.hh"
@@ -76,7 +76,7 @@ class ServiceRunner
     campaign::CampaignConfig cfg_;
     std::map<std::string, std::set<std::string>> groundTruth_;
 
-    std::unique_ptr<campaign::ShardedAggregator> agg_;
+    campaign::Aggregator agg_;
     std::unique_ptr<campaign::Strategy> strategy_;
     std::vector<campaign::JobOutcome> history_;
     std::vector<OutcomeSummary> summaries_;
@@ -116,7 +116,7 @@ ServiceRunner::restoreOrInit()
         if (!Checkpoint::parse(text, ck, error))
             fatal("--resume: %s: %s", path.c_str(), error.c_str());
         // Identity comes from the checkpoint; execution knobs (jobs,
-        // shards, cadence) stay with the CLI.
+        // cadence) stay with the CLI.
         cfg_.masterSeed = ck.campaign.masterSeed;
         cfg_.strategy = ck.campaign.strategy;
         cfg_.mode = ck.campaign.mode;
@@ -134,9 +134,7 @@ ServiceRunner::restoreOrInit()
         summaries_ = std::move(ck.history);
         spoolFirstId_ = std::move(ck.spoolFirstId);
 
-        agg_ = std::make_unique<campaign::ShardedAggregator>(
-            cfg_.shards);
-        agg_->seed(ck.aggregate);
+        agg_ = std::move(ck.aggregate);
 
         strategy_ = campaign::makeStrategy(cfg_.strategy);
         strategy_->restoreState(ck.strategyState);
@@ -154,8 +152,6 @@ ServiceRunner::restoreOrInit()
                           << ", " << plan_.size()
                           << " job(s) in the pending round\n";
     } else {
-        agg_ = std::make_unique<campaign::ShardedAggregator>(
-            cfg_.shards);
         strategy_ = campaign::makeStrategy(cfg_.strategy);
     }
 
@@ -202,11 +198,11 @@ ServiceRunner::emitHeartbeat(const std::string &event)
     rec.event = event;
     rec.round = roundsDone_;
     rec.jobsTotal = jobsTotal_;
-    rec.jobsDone = agg_->runs();
-    rec.findings = agg_->findingCount();
-    rec.rawReports = agg_->rawReports();
-    rec.errors = agg_->errorCount();
-    rec.variants = agg_->variantCounters();
+    rec.jobsDone = agg_.runs();
+    rec.findings = agg_.findingCount();
+    rec.rawReports = agg_.rawReports();
+    rec.errors = agg_.errorCount();
+    rec.variants = agg_.variantCounters();
     for (size_t i = 0; i < workerDone_.size(); ++i)
         rec.workers.emplace_back(
             workerDone_[i],
@@ -216,7 +212,7 @@ ServiceRunner::emitHeartbeat(const std::string &event)
                       .count();
     uint64_t rate =
         secs > 0.0 ? uint64_t(double(jobsFolded_) / secs) : 0;
-    rec.service = stats_.gauges(agg_->shardDepths(), rate);
+    rec.service = stats_.gauges(rate);
     campaign::writeProgressRecord(*opt_.progressJson, rec);
 }
 
@@ -256,7 +252,7 @@ ServiceRunner::checkpointNow()
     ck.plan = plan_;
     ck.history = summaries_;
     ck.spoolFirstId = spoolFirstId_;
-    ck.aggregate = agg_->collapse();
+    ck.aggregate = agg_;
 
     std::ostringstream ss;
     ck.write(ss);
@@ -275,7 +271,7 @@ void
 ServiceRunner::foldOutcome(campaign::JobOutcome outcome)
 {
     std::vector<const campaign::FoundRace *> fresh;
-    if (!agg_->add(outcome, &fresh)) {
+    if (!agg_.add(outcome, &fresh)) {
         ++duplicates_;
         ++stats_.duplicatesSkipped;
         return;
@@ -314,7 +310,7 @@ ServiceRunner::runBatch(const std::vector<campaign::JobSpec> &batch)
 {
     std::vector<campaign::JobSpec> todo;
     for (const campaign::JobSpec &spec : batch) {
-        if (agg_->seen(spec.id)) {
+        if (agg_.seen(spec.id)) {
             ++duplicates_;
             ++stats_.duplicatesSkipped;
             continue;
@@ -421,7 +417,7 @@ ServiceRunner::streamLoop()
                 for (size_t i = 0; i < specs.size(); ++i) {
                     specs[i].id = base + i;
                     specs[i].round = uint32_t(roundsDone_);
-                    anyNew |= !agg_->seen(specs[i].id);
+                    anyNew |= !agg_.seen(specs[i].id);
                 }
                 if (!anyNew) {
                     // Redelivered batch, fully folded already (e.g.
@@ -511,8 +507,7 @@ ServiceRunner::streamLoop()
 void
 ServiceRunner::writeFinal(ServiceResult &res)
 {
-    campaign::Aggregator total = agg_->collapse();
-    res.report = total.finalize(cfg_, groundTruth_);
+    res.report = agg_.finalize(cfg_, groundTruth_);
     res.report.timing.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wall0_)
@@ -521,7 +516,7 @@ ServiceRunner::writeFinal(ServiceResult &res)
 
     FindingsStore store;
     store.campaign = cfg_;
-    store.aggregate = std::move(total);
+    store.aggregate = agg_;
     std::ostringstream fs;
     store.write(fs);
     std::string error;

@@ -9,8 +9,8 @@
  *   ingest   — jobs come from the campaign strategy (default), from
  *              NDJSON batches on stdin, or from a spool directory
  *              processed in sorted-filename order;
- *   shard    — outcomes fold into a ShardedAggregator (fingerprint-
- *              hash partitioned; N shards never change the bytes);
+ *   fold     — outcomes fold on the service thread into one
+ *              Aggregator (idempotent on job id, order-free);
  *   emit     — txrace-progress-v1 heartbeats with service gauges
  *              plus one `"event":"finding"` delta per NEW finding;
  *   checkpoint — txrace-checkpoint-v1 written atomically to the
@@ -25,8 +25,8 @@
  *
  * Determinism: the final campaign report and findings store are a
  * pure function of the campaign identity (strategy mode) or of
- * identity + spool contents (stream mode). Kill points, `--jobs`,
- * `--shards`, and checkpoint cadence are invisible in the bytes.
+ * identity + spool contents (stream mode). Kill points, `--jobs`
+ * and checkpoint cadence are invisible in the bytes.
  */
 
 #ifndef TXRACE_SERVICE_SERVICE_HH
@@ -44,7 +44,7 @@ namespace txrace::service {
 
 struct ServiceOptions
 {
-    /** Campaign identity + execution knobs (jobs, shards, cadence).
+    /** Campaign identity + execution knobs (jobs, cadence).
      *  On resume the identity subset is REPLACED by the checkpoint's;
      *  execution knobs always come from here. */
     campaign::CampaignConfig cfg;

@@ -15,6 +15,8 @@
  * rate, configured in the registry.
  */
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "workloads/apps.hh"
 #include "workloads/idioms.hh"
@@ -29,7 +31,8 @@ buildBodytrack(const WorkloadParams &p)
     const uint32_t W = p.nWorkers;
 
     constexpr size_t kSites = 6;
-    NeighborSites sites(b, "particle-weights", kSites, 8);
+    NeighborSites sites(b, "particle-weights", kSites,
+                        std::max<uint32_t>(8, W));
     InitIdiomSites init(b, "pose-structs", 2);
     ir::Addr model = b.alloc("body-model", 1024 * 8);
     ir::Addr part = b.allocPrivate("particles", (W + 1) * 512);

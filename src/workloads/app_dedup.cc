@@ -28,7 +28,8 @@ buildDedup(const WorkloadParams &p)
     const uint64_t per_b = (per_a * n_a) / n_b;
 
     ir::Addr table = b.alloc("hash-table", 2048 * 8);
-    ir::Addr buckets = allocFalseSharingSlots(b, "bucket-hits", 8);
+    ir::Addr buckets = allocFalseSharingSlots(b, "bucket-hits",
+                                              std::max<uint32_t>(8, W));
     constexpr uint64_t kCapRows = 11;
     ir::Addr out = b.alloc("chunk-out",
                            kCapRows * 4096 + (W + 1) * 64, 64);

@@ -14,6 +14,8 @@
  * (capacity aborts; loop-cut target).
  */
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "workloads/apps.hh"
 #include "workloads/idioms.hh"
@@ -28,7 +30,8 @@ buildFacesim(const WorkloadParams &p)
     const uint32_t W = p.nWorkers;
 
     constexpr size_t kSites = 8;
-    NeighborSites sites(b, "partition-boundaries", kSites, 8);
+    NeighborSites sites(b, "partition-boundaries", kSites,
+                        std::max<uint32_t>(8, W));
     InitIdiomSites init(b, "threadpool-struct", 1);
     // Per-worker mesh partitions (bulk work is race-free).
     ir::Addr mesh = b.alloc("face-mesh", (W + 1) * 2048);

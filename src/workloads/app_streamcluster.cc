@@ -15,6 +15,8 @@
  * (found — accesses recur every phase).
  */
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "workloads/apps.hh"
 #include "workloads/idioms.hh"
@@ -29,9 +31,11 @@ buildStreamcluster(const WorkloadParams &p)
     const uint32_t W = p.nWorkers;
 
     constexpr size_t kSites = 4;
-    NeighborSites sites(b, "cluster-centers", kSites, 8);
+    NeighborSites sites(b, "cluster-centers", kSites,
+                        std::max<uint32_t>(8, W));
     ir::Addr points = b.alloc("points", 2048 * 8);
-    ir::Addr acc = allocFalseSharingSlots(b, "cost-accumulators", 8,
+    ir::Addr acc = allocFalseSharingSlots(b, "cost-accumulators",
+                                          std::max<uint32_t>(8, W),
                                           40);
 
     ir::FuncId worker = b.beginFunction("worker");

@@ -20,6 +20,8 @@
  * target).
  */
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "workloads/apps.hh"
 #include "workloads/idioms.hh"
@@ -34,7 +36,8 @@ buildVips(const WorkloadParams &p)
     const uint32_t W = p.nWorkers;
 
     constexpr size_t kSites = 112;
-    NeighborSites sites(b, "row-boundaries", kSites, 8);
+    NeighborSites sites(b, "row-boundaries", kSites,
+                        std::max<uint32_t>(8, W));
     ir::Addr rows = b.alloc("image-rows", (W + 2) * 512);
     constexpr uint64_t kCapRows = 12;
     ir::Addr tile = b.alloc("tile-cache",

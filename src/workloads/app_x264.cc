@@ -10,6 +10,8 @@
  * (5.6x vs 6.45x).
  */
 
+#include <algorithm>
+
 #include "ir/builder.hh"
 #include "workloads/apps.hh"
 #include "workloads/idioms.hh"
@@ -24,7 +26,8 @@ buildX264(const WorkloadParams &p)
     const uint32_t W = p.nWorkers;
 
     constexpr size_t kSites = 64;
-    NeighborSites sites(b, "ref-rows", kSites, 8);
+    NeighborSites sites(b, "ref-rows", kSites,
+                        std::max<uint32_t>(8, W));
     ir::Addr mb = b.alloc("macroblocks", (W + 2) * 512);
 
     ir::FuncId worker = b.beginFunction("worker");

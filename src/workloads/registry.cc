@@ -189,11 +189,19 @@ appNames()
     return names;
 }
 
+bool
+validWorkerCount(uint64_t n)
+{
+    return n >= kMinWorkers && n <= kMaxWorkers;
+}
+
 AppModel
 makeApp(const std::string &name, const WorkloadParams &params)
 {
-    if (params.nWorkers < 2)
-        fatal("makeApp(%s): need at least two workers", name.c_str());
+    if (!validWorkerCount(params.nWorkers))
+        fatal("makeApp(%s): need at least two workers and at most %u, "
+              "got %u",
+              name.c_str(), kMaxWorkers, params.nWorkers);
     const Spec &spec = findSpec(name);
 
     AppModel m;

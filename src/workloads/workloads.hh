@@ -22,6 +22,7 @@
 #ifndef TXRACE_WORKLOADS_WORKLOADS_HH
 #define TXRACE_WORKLOADS_WORKLOADS_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -96,7 +97,16 @@ std::vector<RaceLabel> groundTruthRaces(const std::string &name);
 /** All application names, in the paper's Table 1 order. */
 const std::vector<std::string> &appNames();
 
-/** Build one application model. fatal()s on unknown names. */
+/** Worker counts every application model supports. */
+constexpr uint32_t kMinWorkers = 2;
+constexpr uint32_t kMaxWorkers = 64;
+
+/** Whether @p n lies in [kMinWorkers, kMaxWorkers]. Takes 64 bits so
+ *  parsed values are checked before they narrow to uint32_t. */
+bool validWorkerCount(uint64_t n);
+
+/** Build one application model. fatal()s on unknown names and on
+ *  a worker count outside validWorkerCount(). */
 AppModel makeApp(const std::string &name,
                  const WorkloadParams &params = {});
 

@@ -377,6 +377,27 @@ TEST(Ingest, BadLinesReportTheLineNumber)
     EXPECT_FALSE(parseJobBatch("{\"app\": \"raytrace\"}\nnot json\n",
                                cfg, specs, error));
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+    // Records that would otherwise fail (or be silently truncated)
+    // inside a pool worker after the batch was checkpointed.
+    for (const char *bad : {
+             "{\"app\": \"nope\"}",
+             "{\"app\": \"vips\", \"workers\": 0}",
+             "{\"app\": \"vips\", \"workers\": 1}",
+             "{\"app\": \"vips\", \"workers\": 65}",
+             "{\"app\": \"vips\", \"workers\": 100000}",
+             "{\"app\": \"vips\", \"workers\": 4294967297}",
+         }) {
+        specs.clear();
+        EXPECT_FALSE(parseJobBatch(
+            std::string("{\"app\": \"raytrace\"}\n") + bad + "\n", cfg,
+            specs, error))
+            << bad;
+        EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    }
+    EXPECT_TRUE(parseJobBatch(
+        "{\"app\": \"vips\", \"workers\": 64}\n", cfg, specs, error))
+        << error;
 }
 
 TEST(Ingest, SpoolListingIsSortedAndSkipsTempFiles)

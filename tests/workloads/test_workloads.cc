@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests of the application models: every app builds and validates at
- * each evaluated thread count, the TSan baseline detects exactly the
- * planted races, TxRace never reports a race TSan does not (the
- * completeness property on realistic programs), the calibration hits
+ * each evaluated thread count and runs cleanly beyond it, the TSan
+ * baseline detects exactly the planted races, TxRace never reports a
+ * race TSan does not (the completeness property on realistic
+ * programs), the calibration hits
  * the paper's TSan overhead, and the expected miss patterns
  * (initialization idiom) hold.
  */
@@ -51,6 +52,25 @@ TEST(WorkloadsDeathTest, NeedsTwoWorkers)
                 "two workers");
 }
 
+TEST(WorkloadsDeathTest, AtMostMaxWorkers)
+{
+    WorkloadParams params;
+    params.nWorkers = kMaxWorkers + 1;
+    EXPECT_EXIT(makeApp("vips", params), testing::ExitedWithCode(1),
+                "at most");
+}
+
+TEST(Workloads, WorkerCountBounds)
+{
+    EXPECT_FALSE(validWorkerCount(0));
+    EXPECT_FALSE(validWorkerCount(kMinWorkers - 1));
+    EXPECT_TRUE(validWorkerCount(kMinWorkers));
+    EXPECT_TRUE(validWorkerCount(kMaxWorkers));
+    EXPECT_FALSE(validWorkerCount(kMaxWorkers + 1));
+    // Values that would wrap to a valid count when narrowed.
+    EXPECT_FALSE(validWorkerCount((uint64_t(1) << 32) + 4));
+}
+
 class PerApp : public ::testing::TestWithParam<std::string>
 {
 };
@@ -65,6 +85,23 @@ TEST_P(PerApp, BuildsAtEveryThreadCount)
         EXPECT_TRUE(app.program.finalized());
         EXPECT_GT(app.program.numInstructions(), 0u);
         EXPECT_EQ(app.name, GetParam());
+    }
+}
+
+TEST_P(PerApp, RunsCleanlyAtSixteenWorkers)
+{
+    // Every per-worker layout must cover tids beyond the eight the
+    // paper evaluates.
+    WorkloadParams params;
+    params.nWorkers = 16;
+    params.calibrate = false;
+    AppModel app = makeApp(GetParam(), params);
+    for (core::RunMode mode :
+         {core::RunMode::TSan, core::RunMode::TxRaceDynLoopcut}) {
+        core::RunResult r =
+            core::runProgram(app.program, configFor(app, mode));
+        EXPECT_TRUE(r.error.ok())
+            << app.name << " " << core::runModeName(mode);
     }
 }
 

@@ -39,12 +39,11 @@ usage()
         "  --seeds N        seed budget per app (default 4)\n"
         "  --jobs N         pool worker threads (default 4; never\n"
         "                   affects the report, only wall time)\n"
-        "  --shards N       aggregation shards (default 1; like\n"
-        "                   --jobs, never affects the report)\n"
         "  --strategy S     sweep | abort-guided | perturb\n"
         "                   (default sweep)\n"
         "  --mode M         detection mode (default txrace-dyn)\n"
-        "  --workers N      simulated threads per run (default 4)\n"
+        "  --workers N      simulated threads per run (2-64,\n"
+        "                   default 4)\n"
         "  --scale N        work multiplier per run (default 1)\n"
         "  --master-seed N  campaign master seed (default 1)\n"
         "  --out FILE       write the txrace-campaign-v1 JSON report\n"
@@ -230,8 +229,11 @@ main(int argc, char **argv)
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = parseMode(v4);
         } else if (const char *v5 = value("--workers")) {
-            cfg.workers =
-                static_cast<uint32_t>(std::strtoul(v5, nullptr, 10));
+            const uint64_t workers = std::strtoull(v5, nullptr, 10);
+            if (!workloads::validWorkerCount(workers))
+                fatal("--workers must be in [%u, %u]",
+                      workloads::kMinWorkers, workloads::kMaxWorkers);
+            cfg.workers = static_cast<uint32_t>(workers);
         } else if (const char *v6 = value("--scale")) {
             cfg.scale = std::strtoull(v6, nullptr, 10);
         } else if (const char *v7 = value("--master-seed")) {
@@ -248,11 +250,6 @@ main(int argc, char **argv)
                 fatal("--progress-every must be positive");
         } else if (const char *v12 = value("--trace-json")) {
             trace_json_path = v12;
-        } else if (const char *v13 = value("--shards")) {
-            cfg.shards =
-                static_cast<uint32_t>(std::strtoul(v13, nullptr, 10));
-            if (cfg.shards == 0)
-                fatal("--shards must be positive");
         } else if (const char *v14 = value("--state-dir")) {
             state_dir = v14;
         } else if (const char *v15 = value("--checkpoint-every")) {

@@ -77,7 +77,7 @@ usage()
         "                 racetm |\n"
         "                 txrace | txrace-dyn | txrace-noopt\n"
         "                 (default: txrace)\n"
-        "  --workers N    worker threads (default 4)\n"
+        "  --workers N    worker threads (2-64, default 4)\n"
         "  --scale N      work multiplier (default 1)\n"
         "  --seed N       schedule seed (default 1)\n"
         "  --seed-list A,B,...  run once per seed and report the\n"
@@ -191,8 +191,11 @@ main(int argc, char **argv)
         } else if (const char *v2 = value("--mode")) {
             mode_name = v2;
         } else if (const char *v3 = value("--workers")) {
-            params.nWorkers =
-                static_cast<uint32_t>(std::strtoul(v3, nullptr, 10));
+            const uint64_t workers = std::strtoull(v3, nullptr, 10);
+            if (!workloads::validWorkerCount(workers))
+                fatal("--workers must be in [%u, %u]",
+                      workloads::kMinWorkers, workloads::kMaxWorkers);
+            params.nWorkers = static_cast<uint32_t>(workers);
         } else if (const char *v4 = value("--scale")) {
             params.scale = std::strtoull(v4, nullptr, 10);
         } else if (const char *v5 = value("--seed")) {
