@@ -9,7 +9,6 @@
 #define TXRACE_SIM_CONTEXT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/program.hh"
@@ -59,6 +58,127 @@ struct ContextSnapshot
     std::vector<LoopFrame> loops;
     Rng rng;
     bool valid = false;
+};
+
+/**
+ * Speculative store buffer of one transaction: granule -> value, the
+ * software stand-in for the L1's transactional write buffering.
+ *
+ * Entries live in insertion order in a flat vector; an open-addressing
+ * table of slots (granule, epoch, entry index) over a power-of-two
+ * array finds them. A slot is live iff its epoch stamp equals the
+ * buffer's, so clear() is an epoch bump and never walks the table.
+ * The table grows at half load and is allocated on first put(), so a
+ * thread that never writes inside a transaction pays nothing.
+ */
+class TxStoreBuffer
+{
+  public:
+    struct Entry
+    {
+        uint64_t granule;
+        uint64_t value;
+    };
+
+    /** Value buffered for @p granule, or nullptr. The pointer stays
+     *  valid until the next put() or clear(). */
+    const uint64_t *
+    find(uint64_t granule) const
+    {
+        if (entries_.empty())
+            return nullptr;
+        for (size_t i = hash(granule);; i = (i + 1) & mask_) {
+            const Slot &s = slots_[i];
+            if (s.epoch != epoch_)
+                return nullptr;
+            if (s.granule == granule)
+                return &entries_[s.index].value;
+        }
+    }
+
+    /** Buffer @p value for @p granule, inserting or overwriting. */
+    void
+    put(uint64_t granule, uint64_t value)
+    {
+        if ((entries_.size() + 1) * 2 > slots_.size())
+            grow();
+        for (size_t i = hash(granule);; i = (i + 1) & mask_) {
+            Slot &s = slots_[i];
+            if (s.epoch != epoch_) {
+                s = Slot{granule, epoch_,
+                         static_cast<uint32_t>(entries_.size())};
+                entries_.push_back(Entry{granule, value});
+                return;
+            }
+            if (s.granule == granule) {
+                entries_[s.index].value = value;
+                return;
+            }
+        }
+    }
+
+    /** Drop every entry: O(1) except once per 2^32 clears, when the
+     *  epoch wraps and the stamps are reset. */
+    void
+    clear()
+    {
+        entries_.clear();
+        if (++epoch_ == 0) {
+            for (Slot &s : slots_)
+                s.epoch = 0;
+            epoch_ = 1;
+        }
+    }
+
+    size_t size() const { return entries_.size(); }
+
+    /** Buffered stores in insertion order; granules are distinct. */
+    const std::vector<Entry> &entries() const { return entries_; }
+
+    /** Test hook: jump the epoch counter forward to @p e on an empty
+     *  buffer, to exercise wraparound without 2^32 clear() calls. */
+    void debugSetEpoch(uint32_t e) { epoch_ = e; }
+
+  private:
+    struct Slot
+    {
+        uint64_t granule = 0;
+        uint32_t epoch = 0;  ///< live iff == epoch_
+        uint32_t index = 0;  ///< into entries_
+    };
+
+    size_t
+    hash(uint64_t granule) const
+    {
+        // Fibonacci hashing: consecutive granules (the common store
+        // stream) land far apart.
+        return static_cast<size_t>((granule * 0x9e3779b97f4a7c15ULL) >>
+                                   shift_);
+    }
+
+    /** Double the table (16 slots at first) and re-insert every
+     *  entry; slot stamps restart at epoch 1. */
+    void
+    grow()
+    {
+        size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+        slots_.assign(cap, Slot{});
+        mask_ = cap - 1;
+        shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cap));
+        epoch_ = 1;
+        for (uint32_t k = 0; k < entries_.size(); ++k) {
+            size_t i = hash(entries_[k].granule);
+            while (slots_[i].epoch == epoch_)
+                i = (i + 1) & mask_;
+            slots_[i] = Slot{entries_[k].granule, epoch_, k};
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<Entry> entries_;
+    size_t mask_ = 0;
+    unsigned shift_ = 64;
+    uint32_t epoch_ = 1;
 };
 
 /** Full per-thread state. */
@@ -112,11 +232,9 @@ struct ThreadContext
     uint32_t windowReplays = 0;
     /** @} */
 
-    /** Speculative store buffer: granule -> value written inside the
-     *  current transaction. Applied to memory on commit, discarded on
-     *  abort — the software stand-in for the L1's transactional
-     *  write buffering. */
-    std::unordered_map<uint64_t, uint64_t> txStores;
+    /** Stores written inside the current transaction. Applied to
+     *  memory on commit, discarded on abort. */
+    TxStoreBuffer txStores;
 
     ContextSnapshot snap;
 

@@ -1,5 +1,7 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
+
 #include "ir/printer.hh"
 #include "support/log.hh"
 
@@ -42,6 +44,8 @@ runErrorKindName(RunError::Kind kind)
         return "budget";
       case RunError::Kind::BadAccess:
         return "bad-access";
+      case RunError::Kind::BadSync:
+        return "bad-sync";
     }
     return "?";
 }
@@ -64,14 +68,14 @@ struct ExecHandlers
     static void
     compute(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         ++ctx.pc;
     }
 
     static void
     syscall(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.tel_.registry.add(m.met_.syscalls);
         ++ctx.pc;
     }
@@ -89,7 +93,7 @@ struct ExecHandlers
     mem(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         ir::Addr addr = op.base;
         if constexpr (S != ir::AddrShape::Constant)
             addr += op.threadStride * t;
@@ -122,13 +126,11 @@ struct ExecHandlers
                 // Stores accumulate into their granule; inside a
                 // transaction they go to the speculative buffer.
                 uint64_t granule = mem::granuleOf(addr);
-                auto it = ctx.txStores.find(granule);
-                uint64_t old = it != ctx.txStores.end()
-                    ? it->second
-                    : m.mem_.load(addr);
+                const uint64_t *buffered = ctx.txStores.find(granule);
+                uint64_t old = buffered ? *buffered : m.mem_.load(addr);
                 uint64_t value = old + op.arg0 + 1;
                 if (m.htm_.inTx(t))
-                    ctx.txStores[granule] = value;
+                    ctx.txStores.put(granule, value);
                 else
                     m.mem_.store(addr, value);
             }
@@ -144,7 +146,11 @@ struct ExecHandlers
     lockAcquire(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
+        if (m.sync_.lockOwner(op.arg0) == t) {
+            m.badSync(t, "re-acquires a mutex it holds");
+            return;
+        }
         if (m.sync_.lockTryAcquire(t, op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -159,11 +165,15 @@ struct ExecHandlers
     lockRelease(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
+        if (m.sync_.lockOwner(op.arg0) != t) {
+            m.badSync(t, "releases a mutex it does not hold");
+            return;
+        }
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid next = m.sync_.lockRelease(t, op.arg0);
         if (next != kNoTid) {
-            ThreadContext &nctx = m.contexts_[next];
+            ThreadContext &nctx = *m.contexts_[next];
             m.policy_.onSyncPerformed(m, next,
                                       *nctx.code[nctx.pc].ins);
             m.makeRunnable(nctx);
@@ -177,11 +187,11 @@ struct ExecHandlers
     condSignal(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid woken = m.sync_.condSignal(op.arg0);
         if (woken != kNoTid) {
-            ThreadContext &wctx = m.contexts_[woken];
+            ThreadContext &wctx = *m.contexts_[woken];
             m.policy_.onSyncPerformed(m, woken,
                                       *wctx.code[wctx.pc].ins);
             m.makeRunnable(wctx);
@@ -195,7 +205,7 @@ struct ExecHandlers
     condWait(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         if (m.sync_.condTryWait(op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -210,14 +220,14 @@ struct ExecHandlers
     barrier(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         auto released = m.sync_.barrierArrive(t, op.arg0, op.arg1);
         if (released.empty()) {
             m.makeUnrunnable(ctx, ThreadState::Blocked);
         } else {
             m.policy_.onBarrierRelease(m, released);
             for (Tid p : released) {
-                ThreadContext &pctx = m.contexts_[p];
+                ThreadContext &pctx = *m.contexts_[p];
                 m.makeRunnable(pctx);
                 ++pctx.pc;
             }
@@ -229,10 +239,10 @@ struct ExecHandlers
     threadCreate(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         Tid child = static_cast<Tid>(m.contexts_.size());
-        m.contexts_.emplace_back();
-        ThreadContext &cctx = m.contexts_.back();
+        m.contexts_.push_back(std::make_unique<ThreadContext>());
+        ThreadContext &cctx = *m.contexts_.back();
         cctx.tid = child;
         cctx.func = static_cast<ir::FuncId>(op.arg0);
         cctx.rng = Rng(threadSeed(m.cfg_.seed, child));
@@ -252,14 +262,22 @@ struct ExecHandlers
     {
         const Tid t = ctx.tid;
         std::vector<Tid> &targets = m.joinScratch_;
-        if (m.joinReady(*op.ins, t, targets)) {
-            m.addCost(t, op.cost, Bucket::Base);
+        if (!m.joinTargets(*op.ins, t, targets)) {
+            m.badSync(t, "joins a spawn index beyond every thread "
+                         "spawned");
+            return;
+        }
+        auto finished = [&m](Tid u) {
+            return m.contexts_[u]->state == ThreadState::Finished;
+        };
+        if (std::all_of(targets.begin(), targets.end(), finished)) {
+            m.charge(ctx, op.cost, Bucket::Base);
             for (Tid target : targets)
                 m.policy_.onThreadJoined(m, t, target);
             ++ctx.pc;
         } else {
             for (Tid target : targets)
-                if (m.contexts_[target].state != ThreadState::Finished)
+                if (!finished(target))
                     m.joinWaiters_[target].push_back(t);
             m.makeUnrunnable(ctx, ThreadState::Blocked);
         }
@@ -404,8 +422,8 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
     decoded_ = decodeProgram(prog_, cfg_.cost);
     addrLimit_ = prog_.addrSpaceSize();
 
-    contexts_.emplace_back();
-    ThreadContext &main = contexts_.back();
+    contexts_.push_back(std::make_unique<ThreadContext>());
+    ThreadContext &main = *contexts_.back();
     main.tid = 0;
     main.func = prog_.entry();
     main.rng = Rng(threadSeed(cfg_.seed, 0));
@@ -442,47 +460,19 @@ Machine::bindCode(ThreadContext &ctx)
     ctx.codeLen = static_cast<uint32_t>(fn.size());
 }
 
-ThreadContext &
-Machine::context(Tid t)
-{
-    if (t >= contexts_.size())
-        panic("Machine::context: bad tid %u", t);
-    return contexts_[t];
-}
-
-const ThreadContext &
-Machine::context(Tid t) const
-{
-    if (t >= contexts_.size())
-        panic("Machine::context: bad tid %u", t);
-    return contexts_[t];
-}
-
 void
-Machine::addCost(Tid t, uint64_t c, Bucket b)
+Machine::badTid(Tid t) const
 {
-    addCost(t, c, b, phaseOf(t));
-}
-
-void
-Machine::addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p)
-{
-    totalCost_ += c;
-    buckets_[static_cast<size_t>(b)] += c;
-    tel_.phases.noteCost(t, p, c);
-    ThreadContext &ctx = contexts_[t];
-    ctx.myCost += c;
-    if (b == Bucket::Base && htm_.inTx(t))
-        ctx.baseSinceTxBegin += c;
+    panic("Machine::context: bad tid %u", t);
 }
 
 void
 Machine::commitTx(Tid t)
 {
     htm_.commit(t);
-    ThreadContext &ctx = contexts_[t];
-    for (const auto &[granule, value] : ctx.txStores)
-        mem_.store(granule << mem::kGranuleBits, value);
+    ThreadContext &ctx = *contexts_[t];
+    for (const TxStoreBuffer::Entry &e : ctx.txStores.entries())
+        mem_.store(e.granule << mem::kGranuleBits, e.value);
     ctx.txStores.clear();
     tel_.registry.observe(met_.txCost, ctx.baseSinceTxBegin);
 }
@@ -490,7 +480,7 @@ Machine::commitTx(Tid t)
 void
 Machine::rollback(Tid t, Bucket reason)
 {
-    ThreadContext &ctx = contexts_[t];
+    ThreadContext &ctx = *contexts_[t];
     if (!ctx.snap.valid)
         panic("Machine::rollback: thread %u has no snapshot", t);
     // Speculative stores die with the transaction.
@@ -530,26 +520,9 @@ Machine::replayWindow(Tid payer,
 ir::InstrId
 Machine::currentSite(Tid t) const
 {
-    const ThreadContext &ctx = contexts_[t];
+    const ThreadContext &ctx = *contexts_[t];
     const auto &body = prog_.function(ctx.func).body;
     return ctx.pc < body.size() ? body[ctx.pc].id : ir::kNoInstr;
-}
-
-telemetry::Phase
-Machine::phaseOfCtx(const ThreadContext &ctx) const
-{
-    if (ctx.path == PathMode::Slow)
-        return ctx.govForced ? telemetry::Phase::Degraded
-                             : telemetry::Phase::Slow;
-    if (htm_.inTx(ctx.tid))
-        return telemetry::Phase::Fast;
-    return telemetry::Phase::Native;
-}
-
-telemetry::Phase
-Machine::phaseOf(Tid t) const
-{
-    return phaseOfCtx(contexts_[t]);
 }
 
 void
@@ -596,19 +569,22 @@ Machine::pickRunnable()
     return runnable_[n == 1 ? 0 : schedRng_.below(n)];
 }
 
+std::string
+Machine::where(const ThreadContext &ctx) const
+{
+    const auto &fn = prog_.function(ctx.func);
+    return ctx.pc < fn.body.size()
+        ? fn.name + ":" + std::to_string(ctx.pc) + " " +
+              ir::formatInstr(fn.body[ctx.pc])
+        : fn.name + ":<end>";
+}
+
 void
 Machine::captureUnfinishedThreads()
 {
-    for (const auto &ctx : contexts_) {
-        if (ctx.state == ThreadState::Finished)
-            continue;
-        const auto &fn = prog_.function(ctx.func);
-        std::string where = ctx.pc < fn.body.size()
-            ? fn.name + ":" + std::to_string(ctx.pc) + " " +
-                  ir::formatInstr(fn.body[ctx.pc])
-            : fn.name + ":<end>";
-        error_.threads.push_back({ctx.tid, ctx.state, where});
-    }
+    for (const auto &ctx : contexts_)
+        if (ctx->state != ThreadState::Finished)
+            error_.threads.push_back({ctx->tid, ctx->state, where(*ctx)});
 }
 
 void
@@ -661,6 +637,17 @@ Machine::badAccess(Tid t, ir::Addr a)
          t, static_cast<unsigned long long>(a),
          static_cast<unsigned long long>(addrLimit_));
     stopRequest_ = RunError::Kind::BadAccess;
+    quantumBreak_ = true;
+}
+
+void
+Machine::badSync(Tid t, const char *what)
+{
+    // Like badAccess: a malformed program ends the run with a
+    // structured error. The thread stays parked on the instruction.
+    warn("Machine: thread %u %s at %s", t, what,
+         where(*contexts_[t]).c_str());
+    stopRequest_ = RunError::Kind::BadSync;
     quantumBreak_ = true;
 }
 
@@ -753,7 +740,7 @@ Machine::run()
  * the loop is: step guard, fault-episode edges (only with a fault
  * plan), phase attribution, interrupt/retry injection (only inside a
  * transaction), fetch, one indirect call. At zero injection rates
- * injectAbort() makes no RNG draw, so it never perturbs a zero-rate
+ * the injection makes no RNG draw, so it never perturbs a zero-rate
  * run's schedule, costs or streams.
  */
 void
@@ -762,6 +749,16 @@ Machine::runLoop()
     const uint32_t quantum =
         cfg_.schedQuantum > 0 ? cfg_.schedQuantum : 1;
     const bool has_faults = !faults_.empty();
+    // Per-step injection rates: timer interrupts abort an in-flight
+    // transaction with an all-zero (unknown) status, more often when
+    // the machine is oversubscribed (paper §8.2, Figure 8); transient
+    // glitches set RETRY. Without a fault plan the rates are loop
+    // constants: an empty plan's modifiers are x1.0 and +0.0, which
+    // leave every rate bit-identical.
+    const double intr_rate = cfg_.interruptPerStep;
+    const double intr_rate_oversub =
+        intr_rate * cfg_.oversubInterruptFactor;
+    const double retry_rate = cfg_.retryAbortPerStep;
     while (live_ > 0) {
         Tid t = pickRunnable();
         if (t == kNoTid) {
@@ -769,7 +766,7 @@ Machine::runLoop()
             return;
         }
         schedHash_ = mixHash(schedHash_, steps_, t);
-        ThreadContext &ctx = contexts_[t];
+        ThreadContext &ctx = *contexts_[t];
         uint32_t left = quantum;
         bool first = true;
         quantumBreak_ = false;
@@ -787,9 +784,30 @@ Machine::runLoop()
             // detection mode (the Figure-10 breakdown). The profiler
             // totals must equal steps executed, so this runs for
             // consumed steps (aborts, beforeStep) too.
-            tel_.phases.note(t, phaseOfCtx(ctx));
-            if (htm_.inTx(t) && injectAbort(t))
-                break;  // the abort consumed this step
+            const bool in_tx = htm_.inTx(t);
+            tel_.phases.note(t, phaseOfCtx(ctx, in_tx));
+            if (in_tx) {
+                // Fault episodes (interrupt storms, retry glitches)
+                // modulate the rates. A delivered abort consumes the
+                // step.
+                double p = runnable_.size() > cfg_.nCores
+                    ? intr_rate_oversub
+                    : intr_rate;
+                double pr = retry_rate;
+                if (has_faults) {
+                    p = p * faults_.interruptMult() +
+                        faults_.interruptAdd();
+                    pr += faults_.retryAdd();
+                }
+                if (intrRng_.chance(p)) {
+                    deliverInterrupt(t);
+                    break;
+                }
+                if (pr > 0.0 && intrRng_.chance(pr)) {
+                    deliverRetry(t);
+                    break;
+                }
+            }
             if (first) {
                 // Policy pre-step hook, once per quantum (documented
                 // contract since quantum batching): a true return
@@ -850,56 +868,42 @@ Machine::advanceFaults()
     return true;
 }
 
-bool
-Machine::injectAbort(Tid t)
+void
+Machine::deliverInterrupt(Tid t)
 {
-    // Timer-interrupt injection: OS preemption aborts an in-flight
-    // transaction with an all-zero (unknown) status, more often when
-    // the machine is oversubscribed (paper §8.2, Figure 8). Fault
-    // episodes (interrupt storms, retry glitches) modulate the rates.
-    double p = cfg_.interruptPerStep;
-    if (runnable_.size() > cfg_.nCores)
-        p *= cfg_.oversubInterruptFactor;
-    p = p * faults_.interruptMult() + faults_.interruptAdd();
-    if (intrRng_.chance(p)) {
-        htm_.abortTx(t, 0);
-        tel_.registry.add(met_.interruptAborts);
-        if (tel_.flight.enabled())
-            tel_.flight.note(
-                t, telemetry::FrKind::TxAbort, steps_,
-                currentSite(t),
-                static_cast<uint64_t>(
-                    telemetry::FrAbort::Interrupt));
-        if (events_.enabled())
-            events_.record(steps_, t, "interrupt",
-                           "unknown abort (preemption)");
-        tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx,
-                           steps_, "interrupt");
-        tel_.trace.instant(t, steps_, "interrupt-abort", "abort");
-        policy_.onInterruptAbort(*this, t);
-        return true;
-    }
-    double pr = cfg_.retryAbortPerStep + faults_.retryAdd();
-    if (pr > 0.0 && intrRng_.chance(pr)) {
-        htm_.abortTx(t, htm::kAbortRetry);
-        tel_.registry.add(met_.retryAborts);
-        if (tel_.flight.enabled())
-            tel_.flight.note(
-                t, telemetry::FrKind::TxAbort, steps_,
-                currentSite(t),
-                static_cast<uint64_t>(telemetry::FrAbort::Retry));
-        tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx,
-                           steps_, "retry");
-        policy_.onRetryAbort(*this, t);
-        return true;
-    }
-    return false;
+    htm_.abortTx(t, 0);
+    tel_.registry.add(met_.interruptAborts);
+    if (tel_.flight.enabled())
+        tel_.flight.note(
+            t, telemetry::FrKind::TxAbort, steps_, currentSite(t),
+            static_cast<uint64_t>(telemetry::FrAbort::Interrupt));
+    if (events_.enabled())
+        events_.record(steps_, t, "interrupt",
+                       "unknown abort (preemption)");
+    tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx, steps_,
+                       "interrupt");
+    tel_.trace.instant(t, steps_, "interrupt-abort", "abort");
+    policy_.onInterruptAbort(*this, t);
+}
+
+void
+Machine::deliverRetry(Tid t)
+{
+    htm_.abortTx(t, htm::kAbortRetry);
+    tel_.registry.add(met_.retryAborts);
+    if (tel_.flight.enabled())
+        tel_.flight.note(
+            t, telemetry::FrKind::TxAbort, steps_, currentSite(t),
+            static_cast<uint64_t>(telemetry::FrAbort::Retry));
+    tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx, steps_,
+                       "retry");
+    policy_.onRetryAbort(*this, t);
 }
 
 void
 Machine::finishThread(Tid t)
 {
-    ThreadContext &ctx = contexts_[t];
+    ThreadContext &ctx = *contexts_[t];
     policy_.onThreadExit(*this, t);
     makeUnrunnable(ctx, ThreadState::Finished);
     --live_;
@@ -913,32 +917,26 @@ Machine::wakeJoinWaiters(Tid finished)
     if (it == joinWaiters_.end())
         return;
     for (Tid w : it->second) {
-        if (contexts_[w].state == ThreadState::Blocked)
-            makeRunnable(contexts_[w]);
+        if (contexts_[w]->state == ThreadState::Blocked)
+            makeRunnable(*contexts_[w]);
     }
     joinWaiters_.erase(it);
 }
 
 bool
-Machine::joinReady(const ir::Instruction &ins, Tid t,
-                   std::vector<Tid> &targets)
+Machine::joinTargets(const ir::Instruction &ins, Tid t,
+                     std::vector<Tid> &targets) const
 {
     targets.clear();
     if (ins.arg0 == ~0ull) {
         for (Tid s : spawned_)
             if (s != t)
                 targets.push_back(s);
-    } else {
-        if (ins.arg0 >= spawned_.size())
-            fatal("Machine: join of spawn index %llu but only %zu "
-                  "spawned",
-                  static_cast<unsigned long long>(ins.arg0),
-                  spawned_.size());
-        targets.push_back(spawned_[ins.arg0]);
+        return true;
     }
-    for (Tid target : targets)
-        if (contexts_[target].state != ThreadState::Finished)
-            return false;
+    if (ins.arg0 >= spawned_.size())
+        return false;
+    targets.push_back(spawned_[ins.arg0]);
     return true;
 }
 

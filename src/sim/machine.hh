@@ -15,7 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -118,6 +118,7 @@ struct RunError
         Truncated,  ///< maxSteps runaway guard tripped
         Budget,     ///< monitor overhead budget unsatisfiable
         BadAccess,  ///< access outside the program's address space
+        BadSync,    ///< sync misuse: re-lock, foreign unlock, bad join
     };
 
     Kind kind = Kind::None;
@@ -171,8 +172,20 @@ class Machine
     sync::SyncTables &syncTables() { return sync_; }
     const ir::Program &program() const { return prog_; }
     const MachineConfig &config() const { return cfg_; }
-    ThreadContext &context(Tid t);
-    const ThreadContext &context(Tid t) const;
+    ThreadContext &
+    context(Tid t)
+    {
+        if (t >= contexts_.size()) [[unlikely]]
+            badTid(t);
+        return *contexts_[t];
+    }
+    const ThreadContext &
+    context(Tid t) const
+    {
+        if (t >= contexts_.size()) [[unlikely]]
+            badTid(t);
+        return *contexts_[t];
+    }
     size_t numThreads() const { return contexts_.size(); }
     uint32_t liveThreads() const { return live_; }
 
@@ -193,12 +206,20 @@ class Machine
 
     /** Charge @p c cost units to @p t under bucket @p b, attributed
      *  to the phase the profiler would assign @p t right now. */
-    void addCost(Tid t, uint64_t c, Bucket b);
+    void
+    addCost(Tid t, uint64_t c, Bucket b)
+    {
+        charge(*contexts_[t], c, b);
+    }
 
     /** Charge @p c cost units to @p t under bucket @p b with an
      *  explicit phase attribution (e.g. governor backoff stalls are
      *  degradation overhead even while the thread reads as fast). */
-    void addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p);
+    void
+    addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p)
+    {
+        charge(*contexts_[t], c, b, p, htm_.inTx(t));
+    }
 
     /**
      * Ask the run loop to end the run after the current step with the
@@ -252,7 +273,12 @@ class Machine
     const telemetry::Telemetry &tel() const { return tel_; }
 
     /** Phase the profiler would attribute to @p t right now. */
-    telemetry::Phase phaseOf(Tid t) const;
+    telemetry::Phase
+    phaseOf(Tid t) const
+    {
+        const ThreadContext &ctx = *contexts_[t];
+        return phaseOfCtx(ctx, htm_.inTx(ctx.tid));
+    }
 
     /** Structured event timeline (empty unless cfg.recordEvents). */
     EventLog &events() { return events_; }
@@ -277,11 +303,40 @@ class Machine
     /** The decoded quantum loop: runs until the program ends or
      *  error_ is filled. */
     void runLoop();
-    /** In-transaction interrupt/retry injection for one op; true =
-     *  an abort was delivered (the step is consumed). */
-    bool injectAbort(Tid t);
+    /** Deliver an injected timer interrupt (unknown abort) to @p t's
+     *  transaction. */
+    void deliverInterrupt(Tid t);
+    /** Deliver an injected transient RETRY abort to @p t's
+     *  transaction. */
+    void deliverRetry(Tid t);
+    /** Cold path of context(): panic on a tid that was never made. */
+    [[noreturn]] void badTid(Tid t) const;
+    /** addCost(Tid, c, b) for a context already in hand. */
+    void
+    charge(ThreadContext &ctx, uint64_t c, Bucket b)
+    {
+        const bool in_tx = htm_.inTx(ctx.tid);
+        charge(ctx, c, b, phaseOfCtx(ctx, in_tx), in_tx);
+    }
+    /** The one cost-charging body behind both addCost overloads;
+     *  @p in_tx is whether @p ctx's thread is in a transaction. */
+    void
+    charge(ThreadContext &ctx, uint64_t c, Bucket b, telemetry::Phase p,
+           bool in_tx)
+    {
+        totalCost_ += c;
+        buckets_[static_cast<size_t>(b)] += c;
+        tel_.phases.noteCost(ctx.tid, p, c);
+        ctx.myCost += c;
+        if (b == Bucket::Base && in_tx)
+            ctx.baseSinceTxBegin += c;
+    }
     /** Raise the structured BadAccess stop for an access to @p a. */
     void badAccess(Tid t, ir::Addr a);
+    /** Raise the structured BadSync stop: @p t is parked on the
+     *  misused instruction, which the run error's thread list shows.
+     *  @p what says how it was misused. */
+    void badSync(Tid t, const char *what);
     /** Record the Truncated run error (maxSteps guard). */
     void truncateRun();
     /** Record a pending requestStop() as the run error. */
@@ -301,14 +356,24 @@ class Machine
     /** Apply fault-plan transitions due at the current step; true =
      *  an episode edge was crossed (forced preemption point). */
     bool advanceFaults();
+    /** Function name, pc and instruction @p ctx is parked on. */
+    std::string where(const ThreadContext &ctx) const;
     /** Fill error_.threads with every unfinished thread's state. */
     void captureUnfinishedThreads();
-    telemetry::Phase phaseOfCtx(const ThreadContext &ctx) const;
+    /** Phase of @p ctx, given whether its thread is in a transaction. */
+    static telemetry::Phase
+    phaseOfCtx(const ThreadContext &ctx, bool in_tx)
+    {
+        if (ctx.path == PathMode::Slow)
+            return ctx.govForced ? telemetry::Phase::Degraded
+                                 : telemetry::Phase::Slow;
+        return in_tx ? telemetry::Phase::Fast : telemetry::Phase::Native;
+    }
 
-    /** Resolve a ThreadJoin target list; returns true when all
-     *  targets are finished (join completes). */
-    bool joinReady(const ir::Instruction &ins, Tid t,
-                   std::vector<Tid> &targets);
+    /** Resolve a ThreadJoin target list into @p targets; false when a
+     *  spawn index names no spawned thread (BadSync). */
+    bool joinTargets(const ir::Instruction &ins, Tid t,
+                     std::vector<Tid> &targets) const;
 
     const ir::Program &prog_;
     MachineConfig cfg_;
@@ -325,8 +390,12 @@ class Machine
     /** End of the simulated address space (cached addrSpaceSize). */
     ir::Addr addrLimit_ = 0;
 
-    /** deque: reference stability across ThreadCreate growth. */
-    std::deque<ThreadContext> contexts_;
+    /** Indexed by tid. Each context is its own allocation, so the
+     *  references handlers and policies hold stay valid when
+     *  ThreadCreate grows the vector, and a lookup is one load (a
+     *  deque would keep references stable too, but walks its block
+     *  map on every lookup). */
+    std::vector<std::unique_ptr<ThreadContext>> contexts_;
     std::vector<Tid> spawned_;  ///< spawn-order list (join indexing)
     std::unordered_map<Tid, std::vector<Tid>> joinWaiters_;
 

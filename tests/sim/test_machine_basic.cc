@@ -386,3 +386,20 @@ TEST(MachineDeathTest, UnfinalizedProgramIsFatal)
     EXPECT_EXIT(Machine(p, quietConfig(), policy),
                 testing::ExitedWithCode(1), "not finalized");
 }
+
+TEST(MachineDeathTest, ContextOfUnknownTidPanics)
+{
+    // context() is inline on the hot path, but a tid that was never
+    // created still panics (a real check, not a debug assertion).
+    ProgramBuilder b;
+    b.beginFunction("main");
+    b.compute(1);
+    b.endFunction();
+    Program p = b.build();
+    core::NativePolicy policy;
+    Machine m(p, quietConfig(), policy);
+    const Machine &cm = m;
+    EXPECT_EQ(m.context(0).tid, 0u);
+    EXPECT_DEATH(m.context(1), "bad tid 1");
+    EXPECT_DEATH(cm.context(7), "bad tid 7");
+}

@@ -4,8 +4,8 @@
  * quantum batching, O(1) runnable set): seeded determinism down to the
  * schedule hash and the full stats dump, golden schedules and stats
  * digests that pin the loop's exact behaviour across changes to it,
- * full-registry ground-truth recall, and structured BadAccess errors
- * instead of process death on malformed workloads.
+ * full-registry ground-truth recall, and structured BadAccess and
+ * BadSync errors instead of process death on malformed workloads.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +233,65 @@ TEST(SimCore, BadAccessSurfacesThroughDriver)
         EXPECT_EQ(r->error.kind, RunError::Kind::BadAccess);
         EXPECT_FALSE(r->error.ok());
         EXPECT_FALSE(r->error.threads.empty());
+    }
+}
+
+TEST(SimCore, BadSyncSurfacesThroughDriver)
+{
+    // Sync misuse in a program (re-locking a held mutex, releasing one
+    // the thread does not hold, joining a spawn index past every
+    // spawned thread) ends the run with a structured BadSync error in
+    // every mode, naming the thread and the instruction it is parked
+    // on, instead of killing the process.
+    auto program = [](auto body) {
+        ir::ProgramBuilder b;
+        ir::Addr x = b.alloc("x", 64, 64);
+        b.beginFunction("main");
+        b.store(ir::AddrExpr::absolute(x));
+        body(b);
+        b.endFunction();
+        return b.build();
+    };
+    struct Case
+    {
+        const char *name;
+        ir::Program prog;
+        /** The misused instruction (the TxRace passes move its pc). */
+        const char *instr;
+    };
+    const Case cases[] = {
+        {"relock", program([](ir::ProgramBuilder &b) {
+             b.lock(1);
+             b.lock(1);
+             b.unlock(1);
+         }),
+         "lock id=1"},
+        {"foreign-unlock", program([](ir::ProgramBuilder &b) {
+             b.unlock(1);
+         }),
+         "unlock id=1"},
+        {"bad-join", program([](ir::ProgramBuilder &b) { b.join(3); }),
+         "join idx=3"},
+    };
+    for (const Case &c : cases) {
+        for (core::RunMode mode :
+             {core::RunMode::Native, core::RunMode::TSan,
+              core::RunMode::TxRaceProfLoopcut,
+              core::RunMode::TxRaceDynLoopcut}) {
+            core::RunConfig cfg;
+            cfg.mode = mode;
+            core::RunResult r = core::runProgram(c.prog, cfg);
+            SCOPED_TRACE(std::string(c.name) + " in " +
+                         core::runModeName(mode));
+            EXPECT_EQ(r.error.kind, RunError::Kind::BadSync);
+            EXPECT_STREQ(runErrorKindName(r.error.kind), "bad-sync");
+            ASSERT_EQ(r.error.threads.size(), 1u);
+            EXPECT_EQ(r.error.threads[0].tid, 0u);
+            const std::string &where = r.error.threads[0].where;
+            EXPECT_TRUE(where.starts_with("main:")) << where;
+            EXPECT_TRUE(where.ends_with(std::string(" ") + c.instr))
+                << where;
+        }
     }
 }
 
