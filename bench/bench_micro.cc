@@ -460,9 +460,9 @@ BENCHMARK(BM_ReuseNoFlightRec);
  * modeled cost as manual time, so items/sec is work per unit of
  * modeled overhead — deterministic for fixed seeds, immune to CI
  * machine noise, and exactly the quantity the windowed repair
- * optimizes. The gate in BENCH_slowpath.json holds Window ≥ 1.3x
- * Region on this shape; this is the O(region) -> O(window) headline
- * number (DESIGN.md §8).
+ * optimizes. CI's same-run ratio gate holds Window ≥ 1.3x Region on
+ * this shape; this is the O(region) -> O(window) headline number
+ * (DESIGN.md §8).
  */
 void
 runEndToEndSlowpath(benchmark::State &state,

@@ -9,7 +9,6 @@
 #define TXRACE_CORE_POLICIES_HH
 
 #include <set>
-#include <unordered_set>
 
 #include "core/budget.hh"
 #include "core/governor.hh"
@@ -18,6 +17,7 @@
 #include "core/runmode.hh"
 #include "sim/machine.hh"
 #include "sim/policy.hh"
+#include "support/flatmap.hh"
 #include "support/rng.hh"
 
 namespace txrace::core {
@@ -294,8 +294,10 @@ class TxRacePolicy : public sim::ExecutionPolicy
      *  third threads touching the same line after the conflicting
      *  transaction committed. Lines never leave the set: a line that
      *  conflicted once is exactly where a detector should keep
-     *  looking, and the set stays tiny (contended lines only). */
-    std::unordered_set<uint64_t> watchedLines_;
+     *  looking, and the set stays tiny (contended lines only). Every
+     *  instrumented fast-path access asks it, so it is flat (used as
+     *  a set: membership only). */
+    FlatU64Map<bool> watchedLines_;
 
     /** Interned ids of the policy's hot-path counters (onRunStart
      *  registers them in the machine's metric registry; updates are

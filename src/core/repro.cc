@@ -1,10 +1,10 @@
 #include "core/repro.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "core/fingerprint.hh"
 #include "support/log.hh"
+#include "support/numparse.hh"
 
 namespace txrace::core {
 
@@ -242,11 +242,10 @@ parseSeedList(const std::string &list)
         std::string item = list.substr(pos, comma - pos);
         if (item.empty())
             fatal("--seed-list: empty entry in '%s'", list.c_str());
-        char *end = nullptr;
-        uint64_t seed = std::strtoull(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0')
+        std::optional<uint64_t> seed = parseUnsigned(item.c_str());
+        if (!seed)
             fatal("--seed-list: bad seed '%s'", item.c_str());
-        seeds.push_back(seed);
+        seeds.push_back(*seed);
         pos = comma + 1;
     }
     if (seeds.empty())

@@ -498,7 +498,7 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
     // watchedLines_): that is the scoped stand-in for region mode's
     // broadcast demotion, catching third threads that touch the line
     // after the conflicting transaction commits.
-    watchedLines_.insert(conflict_line);
+    watchedLines_[conflict_line] = true;
     m.tel().registry.add(met_.abortConflict);
     traceTxEnd(m, v, "conflict");
     flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
@@ -886,8 +886,7 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         else
             m.det().read(t, addr, ins.id);
     } else if (slowpath_ == SlowPathKind::Window && ins.instrumented &&
-               !watchedLines_.empty() &&
-               watchedLines_.count(mem::lineOf(addr)) != 0) {
+               watchedLines_.contains(mem::lineOf(addr))) {
         // Watched-line check: this line produced a conflict abort
         // earlier, so fast-path accesses to it keep feeding the
         // detector. Replays cover the aborting window; the watch

@@ -73,12 +73,10 @@ HtmEngine::canBegin() const
     return inFlight_ < cfg_.maxConcurrentTx;
 }
 
-HtmEngine::TxState &
-HtmEngine::state(Tid t)
+void
+HtmEngine::growState(Tid t)
 {
-    if (t >= tx_.size())
-        tx_.resize(t + 1);
-    return tx_[t];
+    tx_.resize(t + 1);
 }
 
 void

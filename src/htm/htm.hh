@@ -333,7 +333,11 @@ class HtmEngine
         std::unordered_map<uint64_t, ir::InstrId> lineInstr;
     };
 
+    /** @p t's state, grown on first use of a new tid. Inline: the
+     *  begin/commit/abort and version-log paths call it per event. */
     TxState &state(Tid t);
+    /** Cold path of state(): grow tx_ to cover @p t. */
+    void growState(Tid t);
     const TxState *stateIfAny(Tid t) const;
 
     /** Directory access body (probe + bitmask intersection). */
@@ -387,6 +391,14 @@ class HtmEngine
     uint32_t waysPenalty_ = 0;
     HtmCounters counters_;
 };
+
+inline HtmEngine::TxState &
+HtmEngine::state(Tid t)
+{
+    if (t >= tx_.size()) [[unlikely]]
+        growState(t);
+    return tx_[t];
+}
 
 inline const HtmEngine::TxState *
 HtmEngine::stateIfAny(Tid t) const

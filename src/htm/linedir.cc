@@ -33,17 +33,6 @@ LineDirectory::insertFresh(uint64_t line)
 }
 
 void
-LineDirectory::clearSlot(uint64_t line, uint32_t slotBit)
-{
-    if (Entry *e = find(line)) {
-        uint64_t bit = ~(uint64_t{1} << slotBit);
-        e->readers &= bit;
-        e->writers &= bit;
-        ++stats_.lineWalkClears;
-    }
-}
-
-void
 LineDirectory::bulkClear()
 {
     ++epoch_;

@@ -208,6 +208,20 @@ LineDirectory::findOrInsert(uint64_t line)
     }
 }
 
+// Inline for the same reason: HtmEngine::release walks a closing
+// transaction's line list through it. The probe goes through find(),
+// so every clear is one observed probe as before.
+inline void
+LineDirectory::clearSlot(uint64_t line, uint32_t slotBit)
+{
+    if (Entry *e = find(line)) {
+        uint64_t bit = ~(uint64_t{1} << slotBit);
+        e->readers &= bit;
+        e->writers &= bit;
+        ++stats_.lineWalkClears;
+    }
+}
+
 } // namespace txrace::htm
 
 #endif // TXRACE_HTM_LINEDIR_HH

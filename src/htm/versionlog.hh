@@ -28,11 +28,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/instruction.hh"
 #include "mem/layout.hh"
+#include "support/flatmap.hh"
 #include "support/types.hh"
 
 namespace txrace::htm {
@@ -171,8 +171,8 @@ class VersionLog
     uint32_t
     versionOf(uint64_t line) const
     {
-        auto it = lineVersion_.find(line);
-        return it == lineVersion_.end() ? 0 : it->second;
+        const uint32_t *v = lineVersion_.find(line);
+        return v ? *v : 0;
     }
 
     const VersionLogCounters &counters() const { return counters_; }
@@ -205,8 +205,9 @@ class VersionLog
 
     uint32_t maxEntries_;
     std::vector<ThreadLog> logs_;
-    /** line -> last published (committed) version. */
-    std::unordered_map<uint64_t, uint32_t> lineVersion_;
+    /** line -> last published (committed) version. Read once per
+     *  logged access, so it is a flat open-addressing table. */
+    FlatU64Map<uint32_t> lineVersion_;
     VersionLogCounters counters_;
 };
 

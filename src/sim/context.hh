@@ -15,6 +15,7 @@
 #include "sim/costmodel.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
+#include "telemetry/phase.hh"
 
 namespace txrace::sim {
 
@@ -201,7 +202,9 @@ struct ThreadContext
     PathMode path = PathMode::Fast;
     /** Reason bucket for the current/pending slow episode. */
     Bucket slowReason = Bucket::Base;
-    /** The thread was conflict-aborted and must publish TxFail. */
+    /** The thread was conflict-aborted and must publish TxFail.
+     *  Arms ExecutionPolicy::beforeStep: the machine calls the hook
+     *  only while this is set. */
     bool mustWriteTxFail = false;
     /** Steps the pending TxFail publication is still delayed (fault
      *  injection: TxFail-flag publication delay). */
@@ -230,6 +233,18 @@ struct ThreadContext
      *  transaction attempt (bounds livelock; past the cap the policy
      *  falls back to a solo slow region). */
     uint32_t windowReplays = 0;
+    /** @} */
+
+    /** @name Phase-profiler rows
+     * Steps and cost this thread spent in each phase. The step loop
+     * and the cost charge add to them here; Machine::run transfers
+     * them into Telemetry::phases once, at the end of the run. */
+    /** @{ */
+    telemetry::PhaseProfiler::PerPhase phaseSteps{};
+    telemetry::PhaseProfiler::PerPhase phaseCost{};
+    /** A charge was attributed to this thread (even of zero units),
+     *  so the transfer gives it a cost row. */
+    bool costCharged = false;
     /** @} */
 
     /** Stores written inside the current transaction. Applied to

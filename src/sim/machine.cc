@@ -68,14 +68,14 @@ struct ExecHandlers
     static void
     compute(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         ++ctx.pc;
     }
 
     static void
     syscall(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         m.tel_.registry.add(m.met_.syscalls);
         ++ctx.pc;
     }
@@ -93,7 +93,7 @@ struct ExecHandlers
     mem(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         ir::Addr addr = op.base;
         if constexpr (S != ir::AddrShape::Constant)
             addr += op.threadStride * t;
@@ -146,7 +146,7 @@ struct ExecHandlers
     lockAcquire(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         if (m.sync_.lockOwner(op.arg0) == t) {
             m.badSync(t, "re-acquires a mutex it holds");
             return;
@@ -165,7 +165,7 @@ struct ExecHandlers
     lockRelease(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         if (m.sync_.lockOwner(op.arg0) != t) {
             m.badSync(t, "releases a mutex it does not hold");
             return;
@@ -187,7 +187,7 @@ struct ExecHandlers
     condSignal(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid woken = m.sync_.condSignal(op.arg0);
         if (woken != kNoTid) {
@@ -205,7 +205,7 @@ struct ExecHandlers
     condWait(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         if (m.sync_.condTryWait(op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -220,7 +220,7 @@ struct ExecHandlers
     barrier(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         auto released = m.sync_.barrierArrive(t, op.arg0, op.arg1);
         if (released.empty()) {
             m.makeUnrunnable(ctx, ThreadState::Blocked);
@@ -239,7 +239,7 @@ struct ExecHandlers
     threadCreate(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.chargeOp(ctx, op.cost);
         Tid child = static_cast<Tid>(m.contexts_.size());
         m.contexts_.push_back(std::make_unique<ThreadContext>());
         ThreadContext &cctx = *m.contexts_.back();
@@ -271,7 +271,7 @@ struct ExecHandlers
             return m.contexts_[u]->state == ThreadState::Finished;
         };
         if (std::all_of(targets.begin(), targets.end(), finished)) {
-            m.charge(ctx, op.cost, Bucket::Base);
+            m.chargeOp(ctx, op.cost);
             for (Tid target : targets)
                 m.policy_.onThreadJoined(m, t, target);
             ++ctx.pc;
@@ -675,6 +675,8 @@ Machine::run()
         tel_.forensics.push_back(std::move(cap));
     }
     policy_.onRunEnd(*this);
+    // After the last charge: onRunEnd may still charge cost.
+    transferPhaseRows();
     auto &reg = tel_.registry;
     reg.set(met_.steps, steps_);
     tel_.trace.closeAll(steps_);
@@ -730,6 +732,28 @@ Machine::run()
     return error_;
 }
 
+void
+Machine::transferPhaseRows()
+{
+    // A thread that executed a step has a nonzero step row; one that
+    // was charged has costCharged. Adding only those rows reproduces
+    // the exact table lengths of per-step attribution, including a
+    // thread that was charged (at creation) but never stepped.
+    for (const auto &ctxp : contexts_) {
+        ThreadContext &ctx = *ctxp;
+        uint64_t steps = 0;
+        for (uint64_t n : ctx.phaseSteps)
+            steps += n;
+        if (steps > 0)
+            tel_.phases.addSteps(ctx.tid, ctx.phaseSteps);
+        if (ctx.costCharged)
+            tel_.phases.addCost(ctx.tid, ctx.phaseCost);
+        ctx.phaseSteps = {};
+        ctx.phaseCost = {};
+        ctx.costCharged = false;
+    }
+}
+
 /**
  * The decoded step loop. One scheduler pick runs a quantum of up to
  * schedQuantum decoded ops back-to-back; handlers end the quantum
@@ -742,6 +766,18 @@ Machine::run()
  * transaction), fetch, one indirect call. At zero injection rates
  * the injection makes no RNG draw, so it never perturbs a zero-rate
  * run's schedule, costs or streams.
+ *
+ * Whether the picked thread is in a transaction is read once per
+ * quantum. That is exact: in_tx changes only at transaction
+ * boundaries, aborts, interrupt and retry deliveries and the TxFail
+ * write, and each of those ends the quantum; so does every memory
+ * access while any transaction is in flight, which covers a thread
+ * that is itself transactional. The thread's path and governor flag,
+ * the rest of its phase, change only at those same points (the
+ * policy hooks of a region's start and end, of an abort, of the
+ * TxFail write and of thread exit), so every step of a quantum has
+ * the phase of its first: the quantum's steps are added to the
+ * thread's phase row once, when it ends.
  */
 void
 Machine::runLoop()
@@ -767,11 +803,22 @@ Machine::runLoop()
         }
         schedHash_ = mixHash(schedHash_, steps_, t);
         ThreadContext &ctx = *contexts_[t];
+        const bool in_tx = htm_.inTx(t);
+        quantumInTx_ = in_tx;
+        quantumPhase_ = phaseOfCtx(ctx, in_tx);
+        // Attribute the quantum's steps to the acting thread's detection
+        // mode (the Figure-10 breakdown). The profiler totals must
+        // equal steps executed, so consumed steps (aborts, beforeStep)
+        // count too.
+        uint64_t &phase_steps =
+            ctx.phaseSteps[static_cast<size_t>(quantumPhase_)];
+        const uint64_t first_step = steps_;
         uint32_t left = quantum;
         bool first = true;
         quantumBreak_ = false;
         while (true) {
             if (steps_ >= cfg_.maxSteps) {
+                phase_steps += steps_ - first_step;
                 truncateRun();
                 return;
             }
@@ -780,12 +827,6 @@ Machine::runLoop()
             // modifiers apply to this op, then re-pick.
             if (has_faults && advanceFaults())
                 left = 1;
-            // Attribute this step to the acting thread's current
-            // detection mode (the Figure-10 breakdown). The profiler
-            // totals must equal steps executed, so this runs for
-            // consumed steps (aborts, beforeStep) too.
-            const bool in_tx = htm_.inTx(t);
-            tel_.phases.note(t, phaseOfCtx(ctx, in_tx));
             if (in_tx) {
                 // Fault episodes (interrupt storms, retry glitches)
                 // modulate the rates. A delivered abort consumes the
@@ -809,11 +850,12 @@ Machine::runLoop()
                 }
             }
             if (first) {
-                // Policy pre-step hook, once per quantum (documented
-                // contract since quantum batching): a true return
-                // consumes the step and ends the quantum.
+                // Policy pre-step hook, once per quantum and only
+                // while a TxFail publication is pending (the contract
+                // in policy.hh): a true return consumes the step and
+                // ends the quantum.
                 first = false;
-                if (policy_.beforeStep(*this, t))
+                if (ctx.mustWriteTxFail && policy_.beforeStep(*this, t))
                     break;
             }
             if (ctx.pc >= ctx.codeLen) {
@@ -826,6 +868,7 @@ Machine::runLoop()
                 --left == 0 || stopRequest_ != RunError::Kind::None)
                 break;
         }
+        phase_steps += steps_ - first_step;
         if (stopRequest_ != RunError::Kind::None) {
             recordStop();
             return;

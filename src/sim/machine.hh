@@ -209,7 +209,9 @@ class Machine
     void
     addCost(Tid t, uint64_t c, Bucket b)
     {
-        charge(*contexts_[t], c, b);
+        ThreadContext &ctx = *contexts_[t];
+        const bool in_tx = htm_.inTx(t);
+        charge(ctx, c, b, phaseOfCtx(ctx, in_tx), in_tx);
     }
 
     /** Charge @p c cost units to @p t under bucket @p b with an
@@ -311,14 +313,16 @@ class Machine
     void deliverRetry(Tid t);
     /** Cold path of context(): panic on a tid that was never made. */
     [[noreturn]] void badTid(Tid t) const;
-    /** addCost(Tid, c, b) for a context already in hand. */
+    /** Charge an op's own cost (Base bucket) to @p ctx, the thread
+     *  running the current quantum, with the quantum's phase and
+     *  transaction state: handlers charge before the op changes
+     *  either, so these are the thread's values right now. */
     void
-    charge(ThreadContext &ctx, uint64_t c, Bucket b)
+    chargeOp(ThreadContext &ctx, uint64_t c)
     {
-        const bool in_tx = htm_.inTx(ctx.tid);
-        charge(ctx, c, b, phaseOfCtx(ctx, in_tx), in_tx);
+        charge(ctx, c, Bucket::Base, quantumPhase_, quantumInTx_);
     }
-    /** The one cost-charging body behind both addCost overloads;
+    /** The one cost-charging body behind addCost and chargeOp;
      *  @p in_tx is whether @p ctx's thread is in a transaction. */
     void
     charge(ThreadContext &ctx, uint64_t c, Bucket b, telemetry::Phase p,
@@ -326,7 +330,8 @@ class Machine
     {
         totalCost_ += c;
         buckets_[static_cast<size_t>(b)] += c;
-        tel_.phases.noteCost(ctx.tid, p, c);
+        ctx.phaseCost[static_cast<size_t>(p)] += c;
+        ctx.costCharged = true;
         ctx.myCost += c;
         if (b == Bucket::Base && in_tx)
             ctx.baseSinceTxBegin += c;
@@ -341,6 +346,8 @@ class Machine
     void truncateRun();
     /** Record a pending requestStop() as the run error. */
     void recordStop();
+    /** Move every context's phase rows into tel_.phases. */
+    void transferPhaseRows();
     /** Point @p ctx at the decoded body of its function. */
     void bindCode(ThreadContext &ctx);
     void finishThread(Tid t);
@@ -409,6 +416,10 @@ class Machine
     /** Set by handlers at forced preemption points (sync ops, tx
      *  boundaries, contended memory ops): ends the current quantum. */
     bool quantumBreak_ = false;
+    /** The running quantum's thread: in a transaction, and its phase.
+     *  Neither changes inside a quantum (see runLoop). */
+    bool quantumInTx_ = false;
+    telemetry::Phase quantumPhase_ = telemetry::Phase::Native;
     /** Join-target scratch (avoids a per-join allocation). */
     std::vector<Tid> joinScratch_;
     uint64_t schedHash_ = 0x9e3779b97f4a7c15ULL;

@@ -42,9 +42,14 @@ class ExecutionPolicy
     virtual void onThreadExit(Machine &, Tid) {}
 
     /**
-     * Called once per scheduling step before the instruction fetch.
-     * Returning true consumes the step (used by TxRace for the
-     * deferred TxFail write after a conflict abort).
+     * Pre-step hook for the deferred TxFail write after a conflict
+     * abort. The machine calls it at the first step of a quantum,
+     * before the instruction fetch, and only while the thread's
+     * ThreadContext::mustWriteTxFail flag is set; a policy that
+     * never sets the flag never sees the call. Returning true
+     * consumes the step and ends the quantum. A false return must
+     * leave the thread's transaction state and path as they were:
+     * the machine has already taken the quantum's phase from them.
      */
     virtual bool beforeStep(Machine &, Tid) { return false; }
 

@@ -20,6 +20,38 @@ phaseName(Phase p)
     return "?";
 }
 
+namespace {
+
+/** Add @p row into @p rows[t], growing @p rows to cover @p t; returns
+ *  the row's sum. */
+uint64_t
+addRow(std::vector<PhaseProfiler::PerPhase> &rows, Tid t,
+       const PhaseProfiler::PerPhase &row)
+{
+    if (t >= rows.size())
+        rows.resize(t + 1);
+    uint64_t sum = 0;
+    for (size_t p = 0; p < kNumPhases; ++p) {
+        rows[t][p] += row[p];
+        sum += row[p];
+    }
+    return sum;
+}
+
+} // namespace
+
+void
+PhaseProfiler::addSteps(Tid t, const PerPhase &row)
+{
+    total_ += addRow(perThread_, t, row);
+}
+
+void
+PhaseProfiler::addCost(Tid t, const PerPhase &row)
+{
+    totalCost_ += addRow(perThreadCost_, t, row);
+}
+
 uint64_t
 PhaseProfiler::count(Phase p) const
 {

@@ -33,47 +33,41 @@ constexpr size_t kNumPhases = static_cast<size_t>(Phase::NumPhases);
 const char *phaseName(Phase p);
 
 /**
- * Per-thread step attribution. One note() per executed scheduler
- * step; the counts over all threads and phases sum to exactly the
- * number of steps noted (total()), which the accounting tests assert.
+ * Per-thread step attribution. Every executed scheduler step lands in
+ * exactly one (thread, phase) cell, so the counts over all threads and
+ * phases sum to the run's step count (total()), which the accounting
+ * tests assert.
  *
  * A second, independent dimension attributes virtual *cost* the same
- * way (noteCost, fed from Machine::addCost): per-(thread, phase) cost
- * cells partition the run's total cost exactly, so budget accounting
- * can ask "how much was spent while degraded" and trust the answer.
+ * way: per-(thread, phase) cost cells partition the run's total cost
+ * exactly, so budget accounting can ask "how much was spent while
+ * degraded" and trust the answer.
+ *
+ * The machine keeps each thread's rows in its thread context while
+ * the run executes (the step loop adds to them without touching this
+ * object) and transfers them here once, at the end of the run. A
+ * thread gets a step row when it executed a step and a cost row when
+ * a charge was attributed to it; each table is as long as its
+ * highest such tid + 1, with zero rows for the tids in between.
  */
 class PhaseProfiler
 {
   public:
     using PerPhase = std::array<uint64_t, kNumPhases>;
 
-    /** Attribute one step of thread @p t to phase @p p. */
-    void
-    note(Tid t, Phase p)
-    {
-        if (t >= perThread_.size())
-            perThread_.resize(t + 1);
-        ++perThread_[t][static_cast<size_t>(p)];
-        ++total_;
-    }
+    /** Add thread @p t's step row (steps per phase). */
+    void addSteps(Tid t, const PerPhase &row);
 
-    /** Attribute @p c cost units of thread @p t to phase @p p. */
-    void
-    noteCost(Tid t, Phase p, uint64_t c)
-    {
-        if (t >= perThreadCost_.size())
-            perThreadCost_.resize(t + 1);
-        perThreadCost_[t][static_cast<size_t>(p)] += c;
-        totalCost_ += c;
-    }
+    /** Add thread @p t's cost row (cost units per phase). */
+    void addCost(Tid t, const PerPhase &row);
 
-    /** Steps noted in total (== sum over threads and phases). */
+    /** Steps added in total (== sum over threads and phases). */
     uint64_t total() const { return total_; }
 
     /** Steps attributed to @p p across all threads. */
     uint64_t count(Phase p) const;
 
-    /** Cost noted in total (== sum over threads and phases). */
+    /** Cost added in total (== sum over threads and phases). */
     uint64_t totalCost() const { return totalCost_; }
 
     /** Cost attributed to @p p across all threads. */

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "htm/htm.hh"
 #include "htm/versionlog.hh"
+#include "support/rng.hh"
 
 using namespace txrace;
 using namespace txrace::htm;
@@ -175,4 +178,56 @@ TEST(VersionLog, CommitThroughTheEnginePublishesAndResets)
     h.reset();
     EXPECT_EQ(h.versionLog()->versionOf(mem::lineOf(0x100)), 0u);
     EXPECT_EQ(h.versionLog()->counters().entries, 0u);
+}
+
+TEST(VersionLog, PublishedVersionsMatchAnUnorderedMapModel)
+{
+    // Randomized differential run of the flat published-version table
+    // against std::unordered_map: transactions on four threads write
+    // and read lines (line 0 among them), commit or clear, and every
+    // appended entry must carry the version the model holds for its
+    // line at that moment. Thousands of distinct lines push the table
+    // through many growth steps.
+    VersionLog vl(64);
+    std::unordered_map<uint64_t, uint32_t> model;
+    std::vector<std::vector<ir::Addr>> writes(4);
+    Rng rng(11);
+    uint64_t step = 0;
+    for (Tid t = 0; t < 4; ++t)
+        vl.beginTx(t);
+    for (int op = 0; op < 40000; ++op) {
+        const Tid t = static_cast<Tid>(rng.below(4));
+        const uint64_t pick = rng.below(10);
+        if (pick == 0) {
+            vl.commitTx(t);
+            for (ir::Addr a : writes[t])
+                ++model[mem::lineOf(a)];
+            writes[t].clear();
+            vl.beginTx(t);
+            continue;
+        }
+        if (pick == 1) {
+            vl.clear(t);
+            writes[t].clear();
+            vl.beginTx(t);
+            continue;
+        }
+        if (vl.entryCount(t) >= 64)
+            continue;
+        const ir::Addr addr = rng.below(4) == 0
+            ? rng.below(64)                       // line 0
+            : rng.below(uint64_t{1} << 20) * 8;  // ~16k lines
+        const bool is_write = rng.below(2) == 0;
+        ASSERT_TRUE(vl.append(t, addr, 1, ++step, is_write));
+        if (is_write)
+            writes[t].push_back(addr);
+        const uint64_t line = mem::lineOf(addr);
+        auto it = model.find(line);
+        const uint32_t want = it == model.end() ? 0 : it->second;
+        ASSERT_EQ(vl.pendingWindow(t).back().version, want) << line;
+    }
+    EXPECT_GT(model.size(), 1000u);
+    for (const auto &[line, v] : model)
+        ASSERT_EQ(vl.versionOf(line), v) << line;
+    EXPECT_EQ(vl.versionOf(mem::lineOf(0)), model[0]);
 }

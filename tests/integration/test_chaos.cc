@@ -147,3 +147,25 @@ TEST(Chaos, GovernorActivityIsObservable)
     EXPECT_NE(trace.find("fault-end"), std::string::npos);
     EXPECT_NE(trace.find("gov-demote"), std::string::npos);
 }
+
+TEST(Chaos, TxFailDelayKeepsItsCounters)
+{
+    // The TxFail-delay scenario stretches the victim's flag publication
+    // (the pre-step hook consumes steps while the delay runs down), so
+    // its counters show exactly when the hook runs. The figures are
+    // those of `txrace_run --app vips --mode txrace-dyn --seed 5
+    // --slowpath region --fault txfail-delay --fault-horizon 30000`
+    // from before the hook was armed by the pending-TxFail flag.
+    workloads::AppModel app = workloads::makeApp("vips", {});
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceDynLoopcut;
+    cfg.slowpath = core::SlowPathKind::Region;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 5;
+    cfg.machine.faults = fault::makeScenario("txfail-delay", 30'000);
+    core::RunResult r = core::runProgram(app.program, cfg);
+    ASSERT_TRUE(r.error.ok());
+    EXPECT_EQ(r.stats.get("txrace.txfail_delay_steps"), 1080u);
+    EXPECT_EQ(r.stats.get("txrace.txfail_writes"), 130u);
+    EXPECT_EQ(r.totalCost, 2337116u);
+}

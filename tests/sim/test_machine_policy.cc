@@ -94,17 +94,27 @@ TEST(MachinePolicy, BeforeStepConsumesSteps)
     b.endFunction();
     Program p = b.build();
 
+    // The hook is armed by the context's pending-TxFail flag: the
+    // policy sets it at thread start and clears it when done.
     class Delayer : public ExecutionPolicy
     {
       public:
         int delays = 3;
-        bool
-        beforeStep(Machine &, Tid) override
+        int calls = 0;
+        void
+        onThreadStart(Machine &m, Tid t) override
         {
+            m.context(t).mustWriteTxFail = true;
+        }
+        bool
+        beforeStep(Machine &m, Tid t) override
+        {
+            ++calls;
             if (delays > 0) {
                 --delays;
                 return true;
             }
+            m.context(t).mustWriteTxFail = false;
             return false;
         }
     } policy;
@@ -112,6 +122,36 @@ TEST(MachinePolicy, BeforeStepConsumesSteps)
     m.run();
     EXPECT_EQ(policy.delays, 0);
     EXPECT_EQ(m.totalCost(), 1u);  // instruction still ran afterwards
+    // Disarmed after the fourth call: later quanta skip the hook.
+    EXPECT_EQ(policy.calls, 4);
+}
+
+TEST(MachinePolicy, BeforeStepNotCalledWhileDisarmed)
+{
+    ProgramBuilder b;
+    b.beginFunction("main");
+    b.compute(1);
+    b.compute(1);
+    b.endFunction();
+    Program p = b.build();
+
+    class Counter : public ExecutionPolicy
+    {
+      public:
+        int calls = 0;
+        bool
+        beforeStep(Machine &, Tid) override
+        {
+            ++calls;
+            return true;
+        }
+    } policy;
+    MachineConfig cfg = quietConfig();
+    cfg.schedQuantum = 1;
+    Machine m(p, cfg, policy);
+    m.run();
+    EXPECT_EQ(policy.calls, 0);
+    EXPECT_EQ(m.totalCost(), 2u);
 }
 
 TEST(MachinePolicy, SelfAbortRollsBackAndReexecutes)

@@ -66,11 +66,18 @@ cellSum(const telemetry::PhaseProfiler &phases)
 
 TEST(PhaseProfiler, NoteAccumulatesPerThreadAndPhase)
 {
+    // Rows added per thread accumulate cell by cell; each table grows
+    // to the highest tid added, independently of the other.
     telemetry::PhaseProfiler p;
-    p.note(0, Phase::Fast);
-    p.note(0, Phase::Fast);
-    p.note(2, Phase::Slow);
-    p.note(1, Phase::Native);
+    telemetry::PhaseProfiler::PerPhase fast2{}, slow1{}, native1{};
+    fast2[static_cast<size_t>(Phase::Fast)] = 2;
+    slow1[static_cast<size_t>(Phase::Slow)] = 1;
+    native1[static_cast<size_t>(Phase::Native)] = 1;
+    p.addSteps(0, fast2);
+    p.addSteps(2, slow1);
+    p.addSteps(1, native1);
+    p.addCost(3, fast2);
+    p.addCost(3, native1);
     EXPECT_EQ(p.total(), 4u);
     EXPECT_EQ(p.count(Phase::Fast), 2u);
     EXPECT_EQ(p.count(Phase::Slow), 1u);
@@ -80,6 +87,12 @@ TEST(PhaseProfiler, NoteAccumulatesPerThreadAndPhase)
     EXPECT_EQ(p.perThread()[0][static_cast<size_t>(Phase::Fast)], 2u);
     EXPECT_EQ(p.perThread()[2][static_cast<size_t>(Phase::Slow)], 1u);
     EXPECT_EQ(cellSum(p), p.total());
+    ASSERT_EQ(p.perThreadCost().size(), 4u);
+    EXPECT_EQ(p.perThreadCost()[3][static_cast<size_t>(Phase::Fast)], 2u);
+    EXPECT_EQ(p.perThreadCost()[3][static_cast<size_t>(Phase::Native)],
+              1u);
+    EXPECT_EQ(p.totalCost(), 3u);
+    EXPECT_EQ(p.costOf(Phase::Slow), 0u);
 }
 
 TEST(PhaseProfiler, StepsSumToTotalUnderEveryMode)
@@ -157,12 +170,15 @@ TEST(PhaseProfiler, GovernorBackoffStallIsDegradedCost)
     core::FallbackGovernor gov(cfg, 1);
     gov.bindMetrics(m.tel().registry);
 
-    ASSERT_EQ(m.tel().phases.costOf(Phase::Degraded), 0u);
+    // The machine keeps the row in the thread's context until its run
+    // ends (this test never runs it), so read the row there.
+    const auto &cost = m.context(0).phaseCost;
+    ASSERT_EQ(cost[static_cast<size_t>(Phase::Degraded)], 0u);
     ASSERT_EQ(gov.onAbort(m, 0, sim::Bucket::Unknown),
               core::GovernorAction::RetryBackoff);
-    EXPECT_EQ(m.tel().phases.costOf(Phase::Degraded),
+    EXPECT_EQ(cost[static_cast<size_t>(Phase::Degraded)],
               cfg.backoffBaseCost);
-    EXPECT_EQ(m.tel().phases.costOf(Phase::Fast), 0u);
+    EXPECT_EQ(cost[static_cast<size_t>(Phase::Fast)], 0u);
 }
 
 TEST(PhaseProfiler, NativeModeIsAllNative)

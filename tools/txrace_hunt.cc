@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -24,6 +25,7 @@
 #include "service/service.hh"
 #include "service/store.hh"
 #include "support/log.hh"
+#include "support/numparse.hh"
 #include "workloads/workloads.hh"
 
 using namespace txrace;
@@ -220,24 +222,26 @@ main(int argc, char **argv)
         } else if (const char *v = value("--apps")) {
             apps_arg = v;
         } else if (const char *v1 = value("--seeds")) {
-            cfg.seedsPerApp = std::strtoull(v1, nullptr, 10);
+            cfg.seedsPerApp = unsignedOption("--seeds", v1);
         } else if (const char *v2 = value("--jobs")) {
-            cfg.jobs =
-                static_cast<uint32_t>(std::strtoul(v2, nullptr, 10));
+            const uint64_t jobs = unsignedOption("--jobs", v2);
+            if (jobs > UINT32_MAX)
+                fatal("--jobs: '%s' is out of range", v2);
+            cfg.jobs = static_cast<uint32_t>(jobs);
         } else if (const char *v3 = value("--strategy")) {
             cfg.strategy = v3;
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = parseMode(v4);
         } else if (const char *v5 = value("--workers")) {
-            const uint64_t workers = std::strtoull(v5, nullptr, 10);
+            const uint64_t workers = unsignedOption("--workers", v5);
             if (!workloads::validWorkerCount(workers))
                 fatal("--workers must be in [%u, %u]",
                       workloads::kMinWorkers, workloads::kMaxWorkers);
             cfg.workers = static_cast<uint32_t>(workers);
         } else if (const char *v6 = value("--scale")) {
-            cfg.scale = std::strtoull(v6, nullptr, 10);
+            cfg.scale = unsignedOption("--scale", v6);
         } else if (const char *v7 = value("--master-seed")) {
-            cfg.masterSeed = std::strtoull(v7, nullptr, 10);
+            cfg.masterSeed = unsignedOption("--master-seed", v7);
         } else if (const char *v8 = value("--out")) {
             out_path = v8;
         } else if (const char *v9 = value("--profile-out")) {
@@ -245,7 +249,7 @@ main(int argc, char **argv)
         } else if (const char *v10 = value("--progress-json")) {
             progress_json_path = v10;
         } else if (const char *v11 = value("--progress-every")) {
-            cfg.progressEvery = std::strtoull(v11, nullptr, 10);
+            cfg.progressEvery = unsignedOption("--progress-every", v11);
             if (cfg.progressEvery == 0)
                 fatal("--progress-every must be positive");
         } else if (const char *v12 = value("--trace-json")) {
@@ -253,7 +257,7 @@ main(int argc, char **argv)
         } else if (const char *v14 = value("--state-dir")) {
             state_dir = v14;
         } else if (const char *v15 = value("--checkpoint-every")) {
-            checkpoint_every = std::strtoull(v15, nullptr, 10);
+            checkpoint_every = unsignedOption("--checkpoint-every", v15);
         } else if (const char *v16 = value("--spool")) {
             spool_dir = v16;
         } else if (const char *v17 = value("--merge")) {

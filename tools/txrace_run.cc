@@ -19,6 +19,7 @@
 #include "fault/fault.hh"
 #include "ir/text.hh"
 #include "support/log.hh"
+#include "support/numparse.hh"
 #include "workloads/patterns.hh"
 #include "workloads/workloads.hh"
 
@@ -191,27 +192,27 @@ main(int argc, char **argv)
         } else if (const char *v2 = value("--mode")) {
             mode_name = v2;
         } else if (const char *v3 = value("--workers")) {
-            const uint64_t workers = std::strtoull(v3, nullptr, 10);
+            const uint64_t workers = unsignedOption("--workers", v3);
             if (!workloads::validWorkerCount(workers))
                 fatal("--workers must be in [%u, %u]",
                       workloads::kMinWorkers, workloads::kMaxWorkers);
             params.nWorkers = static_cast<uint32_t>(workers);
         } else if (const char *v4 = value("--scale")) {
-            params.scale = std::strtoull(v4, nullptr, 10);
+            params.scale = unsignedOption("--scale", v4);
         } else if (const char *v5 = value("--seed")) {
-            seed = std::strtoull(v5, nullptr, 10);
+            seed = unsignedOption("--seed", v5);
         } else if (const char *vsl = value("--seed-list")) {
             seed_list = vsl;
         } else if (const char *vis = value("--irq-scale")) {
-            irq_scale = std::strtod(vis, nullptr);
+            irq_scale = finiteOption("--irq-scale", vis);
         } else if (const char *v6 = value("--rate")) {
-            rate = std::strtod(v6, nullptr);
+            rate = finiteOption("--rate", v6);
         } else if (const char *v7 = value("--trace")) {
-            trace = std::strtoull(v7, nullptr, 10);
+            trace = unsignedOption("--trace", v7);
         } else if (const char *v8 = value("--fault")) {
             fault_name = v8;
         } else if (const char *v9 = value("--fault-horizon")) {
-            fault_horizon = std::strtoull(v9, nullptr, 10);
+            fault_horizon = unsignedOption("--fault-horizon", v9);
         } else if (const char *vsp = value("--slowpath")) {
             slowpath_name = vsp;
         } else if (std::strcmp(argv[i], "--governor") == 0) {
@@ -219,7 +220,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--monitor") == 0) {
             monitor = true;
         } else if (const char *vb = value("--budget-pct")) {
-            budget_pct = std::strtod(vb, nullptr);
+            budget_pct = finiteOption("--budget-pct", vb);
             if (budget_pct <= 0.0)
                 fatal("--budget-pct must be positive");
         } else if (std::strcmp(argv[i], "--no-elide") == 0) {
